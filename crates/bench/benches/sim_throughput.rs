@@ -74,9 +74,9 @@ fn main() {
     // Superblock execution: straight-line code is the best case (one
     // sealed block covers the whole loop body), branch-heavy code the
     // worst (every branch closes a block after a couple of steps), and
-    // pair-dense code is where op fusion pays. Each measured on all
-    // three tiers — fused, unfused superblocks, single-step — with
-    // everything else identical.
+    // pair-dense code is where op fusion pays. Each measured on both
+    // CPU tiers — fused superblocks and single-step — with everything
+    // else identical.
     let straight: Vec<u32> = vec![
         asm::addi(1, 1, 1),
         asm::add(2, 2, 1),
@@ -113,14 +113,12 @@ fn main() {
         ("branch_heavy", &branchy),
         ("pair_dense", &pair_dense),
     ] {
-        for mode in ["fused", "superblock", "single_step"] {
+        for mode in ["fused", "single_step"] {
             bench.run_throughput(&format!("superblock/{kernel}/{mode}"), CYCLES, || {
                 let mut soc = busy_cpu_soc(false);
                 soc.load_program(RESET_PC, program);
-                match mode {
-                    "superblock" => soc.cpu_mut().set_fusion_enabled(false),
-                    "single_step" => soc.cpu_mut().set_superblocks_enabled(false),
-                    _ => {}
+                if mode == "single_step" {
+                    soc.cpu_mut().set_superblocks_enabled(false);
                 }
                 soc.run(CYCLES);
                 soc.cycle()

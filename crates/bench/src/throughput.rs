@@ -15,11 +15,10 @@
 //!   (CPU wake/sleep traffic every event).
 //! * **busy linking workload** — a PELS link fires while the CPU crunches
 //!   a straight-line kernel that never sleeps: the workload superblock
-//!   execution accelerates. Measured on three tiers — fused superblocks
-//!   (the default fast path), unfused superblocks (the pre-fusion
-//!   path), and the CPU forced to single-step — so both the superblock
-//!   speedup (`linking_superblock_speedup`) and the op-fusion speedup
-//!   on top of it (`linking_fused_speedup`) are tracked numbers.
+//!   execution accelerates. Measured on both CPU tiers — fused
+//!   superblocks (the default fast path) and the CPU forced to
+//!   single-step — so the fused-tier speedup (`linking_fused_speedup`)
+//!   is a tracked number.
 
 use crate::harness::{fmt_rate, Bench};
 use pels_sim::Frequency;
@@ -61,9 +60,6 @@ pub enum BusyTier {
     /// The default fast path: superblocks executed from the fused
     /// op program.
     Fused,
-    /// Superblocks with op fusion disabled — the generic per-step
-    /// block loop (the pre-fusion reference).
-    Superblock,
     /// One instruction per scheduler visit.
     SingleStep,
 }
@@ -96,7 +92,7 @@ pub fn busy_linking_soc(tier: BusyTier) -> pels_soc::Soc {
     // branch: one sealed superblock covering the whole loop body, with a
     // pair-dense instruction mix (lui+addi, same-rd immediate chains and
     // a compare feeding its branch) so the fused tier exercises every
-    // fusion class, plus register-register singles for the generic path.
+    // fusion class, plus register-register singles.
     soc.load_program(
         RESET_PC,
         &[
@@ -120,10 +116,8 @@ pub fn busy_linking_soc(tier: BusyTier) -> pels_soc::Soc {
     soc.timer_mut()
         .write(Timer::CTRL, Timer::CTRL_ENABLE)
         .unwrap();
-    match tier {
-        BusyTier::Fused => {}
-        BusyTier::Superblock => soc.cpu_mut().set_fusion_enabled(false),
-        BusyTier::SingleStep => soc.cpu_mut().set_superblocks_enabled(false),
+    if tier == BusyTier::SingleStep {
+        soc.cpu_mut().set_superblocks_enabled(false);
     }
     soc
 }
@@ -177,12 +171,10 @@ pub fn measure(samples: usize) -> Vec<ThroughputRow> {
         });
     }
 
-    // The busy-CPU linking workload across the three execution tiers
-    // (everything but the tier identical, and all three simulate
-    // bit-identical SoCs).
+    // The busy-CPU linking workload on both CPU tiers (everything but
+    // the tier identical, and both simulate bit-identical SoCs).
     for (name, tier) in [
         ("linking_fused", BusyTier::Fused),
-        ("linking_superblock", BusyTier::Superblock),
         ("linking_superblock_single_step", BusyTier::SingleStep),
     ] {
         let rate = bench.run_throughput(name, SUPERBLOCK_CYCLES, || {
@@ -212,16 +204,11 @@ pub fn speedup_of(rows: &[ThroughputRow], name: &str) -> Option<f64> {
     speedup_vs(rows, name, &format!("{name}_naive"))
 }
 
-/// The superblock-execution speedup on the busy linking workload (its
-/// reference row retires one instruction per scheduler visit).
-pub fn superblock_speedup(rows: &[ThroughputRow]) -> Option<f64> {
-    speedup_vs(rows, "linking_superblock", "linking_superblock_single_step")
-}
-
-/// The op-fusion speedup on the busy linking workload: the fused tier
-/// over the unfused superblock tier (the pre-fusion fast path).
+/// The fused-tier speedup on the busy linking workload: fused
+/// superblocks over the CPU forced to single-step (one instruction per
+/// scheduler visit).
 pub fn fused_speedup(rows: &[ThroughputRow]) -> Option<f64> {
-    speedup_vs(rows, "linking_fused", "linking_superblock")
+    speedup_vs(rows, "linking_fused", "linking_superblock_single_step")
 }
 
 /// The idle-path speedup (fast over naive) from a measured row set.
@@ -251,23 +238,19 @@ pub fn render(rows: &[ThroughputRow]) -> String {
     if let Some(x) = speedup_of(rows, "irq_baseline") {
         s.push_str(&format!("  active-path speedup (irq baseline): {x:.1}x\n"));
     }
-    if let Some(x) = superblock_speedup(rows) {
-        s.push_str(&format!(
-            "  superblock speedup (busy linking workload): {x:.1}x\n"
-        ));
-    }
     if let Some(x) = fused_speedup(rows) {
         s.push_str(&format!(
-            "  op-fusion speedup (fused over unfused superblocks): {x:.1}x\n"
+            "  fused superblock speedup (busy linking, over single-step): {x:.1}x\n"
         ));
     }
     s
 }
 
 /// Version of the `BENCH_sim_throughput.json` schema, recorded in the
-/// artifact itself. Bump when a key is renamed or its meaning changes
-/// (adding keys is non-breaking: the writer merges, never drops).
-pub const SCHEMA_VERSION: u64 = 2;
+/// artifact itself. Bump when a key is renamed, removed or its meaning
+/// changes (adding keys is non-breaking: the writer merges files of the
+/// same version and starts fresh on any other).
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Parses the flat JSON objects the `BENCH_*` artifacts use — one
 /// `"key": value` pair per entry, values numbers or strings, no nesting —
@@ -311,8 +294,9 @@ fn parse_flat_object(text: &str) -> Option<Vec<(String, String)>> {
 /// `existing` (the file's previous contents, if any): keys this run
 /// doesn't produce are kept verbatim in place, keys it does are
 /// updated, new keys append. A run of a subset of workloads therefore
-/// never drops another run's fields. Flat object, hand-rolled — no serde
-/// in the offline dependency graph.
+/// never drops another run's fields; contents written under another
+/// [`SCHEMA_VERSION`] are discarded instead. Flat object, hand-rolled —
+/// no serde in the offline dependency graph.
 pub fn merge_json(rows: &[ThroughputRow], samples: usize, existing: Option<&str>) -> String {
     let mut updates: Vec<(String, String)> = rows
         .iter()
@@ -332,9 +316,6 @@ pub fn merge_json(rows: &[ThroughputRow], samples: usize, existing: Option<&str>
     if let Some(x) = speedup_of(rows, "irq_baseline") {
         updates.push(("irq_speedup".into(), format!("{x:.2}")));
     }
-    if let Some(x) = superblock_speedup(rows) {
-        updates.push(("linking_superblock_speedup".into(), format!("{x:.2}")));
-    }
     if let Some(x) = fused_speedup(rows) {
         updates.push(("linking_fused_speedup".into(), format!("{x:.2}")));
     }
@@ -349,7 +330,13 @@ pub fn merge_json(rows: &[ThroughputRow], samples: usize, existing: Option<&str>
     updates.push(("bench_samples".into(), samples.to_string()));
     updates.push(("schema_version".into(), SCHEMA_VERSION.to_string()));
 
-    let mut merged = existing.and_then(parse_flat_object).unwrap_or_default();
+    // A file written under another schema may carry keys whose meaning
+    // changed or that no row produces any more: start fresh.
+    let schema = SCHEMA_VERSION.to_string();
+    let mut merged = existing
+        .and_then(parse_flat_object)
+        .filter(|pairs| pairs.iter().all(|(k, v)| k != "schema_version" || *v == schema))
+        .unwrap_or_default();
     for (key, value) in updates {
         match merged.iter_mut().find(|(k, _)| *k == key) {
             Some(slot) => slot.1 = value,
@@ -440,28 +427,20 @@ mod tests {
     }
 
     #[test]
-    fn superblock_pair_serializes_its_speedup() {
-        let rows = vec![
-            ThroughputRow {
-                name: "linking_superblock",
-                cycles: 10,
-                cycles_per_sec: 9e7,
-            },
-            ThroughputRow {
-                name: "linking_superblock_single_step",
-                cycles: 10,
-                cycles_per_sec: 3e7,
-            },
-        ];
-        assert_eq!(superblock_speedup(&rows), Some(3.0));
-        let j = to_json(&rows, 10);
-        assert!(j.contains("\"linking_superblock_speedup\": 3.00"));
-        // The single-step row is a reference, never paired as `_naive`.
-        assert!(speedup_of(&rows, "linking_superblock").is_none());
+    fn merge_drops_keys_written_under_another_schema() {
+        let existing = "{\n  \"linking_superblock_speedup\": 5.07,\n  \"schema_version\": 2\n}\n";
+        let rows = vec![ThroughputRow {
+            name: "idle_soc",
+            cycles: 10,
+            cycles_per_sec: 2e6,
+        }];
+        let j = merge_json(&rows, 10, Some(existing));
+        assert!(!j.contains("linking_superblock_speedup"));
+        assert!(j.contains(&format!("\"schema_version\": {SCHEMA_VERSION}")));
     }
 
     #[test]
-    fn fused_tier_serializes_its_speedup_over_superblocks() {
+    fn fused_tier_serializes_its_speedup_over_single_step() {
         let rows = vec![
             ThroughputRow {
                 name: "linking_fused",
@@ -469,38 +448,32 @@ mod tests {
                 cycles_per_sec: 1.8e8,
             },
             ThroughputRow {
-                name: "linking_superblock",
+                name: "linking_superblock_single_step",
                 cycles: 10,
-                cycles_per_sec: 9e7,
+                cycles_per_sec: 3e7,
             },
         ];
-        assert_eq!(fused_speedup(&rows), Some(2.0));
+        assert_eq!(fused_speedup(&rows), Some(6.0));
         let j = to_json(&rows, 10);
-        assert!(j.contains("\"linking_fused_speedup\": 2.00"));
+        assert!(j.contains("\"linking_fused_speedup\": 6.00"));
+        // The fused row pairs with single-step, never with a `_naive` row.
+        assert!(speedup_of(&rows, "linking_fused").is_none());
     }
 
     #[test]
     fn busy_linking_workloads_simulate_identically() {
         // The measurement must time identical simulations: same final
-        // cycle, retirement and GPIO traffic on all three execution
-        // tiers — and each tier must actually run on its own path.
+        // cycle, retirement and GPIO traffic on both CPU tiers — and each
+        // tier must actually run on its own path.
         let mut fused = busy_linking_soc(BusyTier::Fused);
-        let mut unfused = busy_linking_soc(BusyTier::Superblock);
         let mut single = busy_linking_soc(BusyTier::SingleStep);
         fused.run(2_000);
-        unfused.run(2_000);
         single.run(2_000);
-        for other in [&unfused, &single] {
-            assert_eq!(fused.cycle(), other.cycle());
-            assert_eq!(fused.cpu().cycles(), other.cpu().cycles());
-            assert_eq!(fused.cpu().retired(), other.cpu().retired());
-        }
-        let activity = fused.drain_activity();
-        assert_eq!(activity, unfused.drain_activity());
-        assert_eq!(activity, single.drain_activity());
+        assert_eq!(fused.cycle(), single.cycle());
+        assert_eq!(fused.cpu().cycles(), single.cpu().cycles());
+        assert_eq!(fused.cpu().retired(), single.cpu().retired());
+        assert_eq!(fused.drain_activity(), single.drain_activity());
         assert!(fused.superblock_stats().fused_ops > 0);
-        assert!(unfused.superblock_stats().block_runs > 0);
-        assert_eq!(unfused.superblock_stats().fused_ops, 0);
         assert_eq!(single.superblock_stats().block_runs, 0);
     }
 

@@ -197,10 +197,11 @@ enum FusedOp {
 }
 
 /// One element of a block's fused program: the op, which sealed steps it
-/// covers (for the generic-path fallback on budget boundaries and verify
-/// aborts), and the pc it retires to. The constituents' verify plans
-/// live in the parallel `BlockLine::fused_fetch` array so the
-/// bulk-verified fast path never touches them.
+/// covers (a pair head retires alone through `execute` on a budget
+/// boundary or a stale second half), and the pc it retires to. The
+/// constituents' verify plans live in the parallel
+/// `BlockLine::fused_fetch` array so the bulk-verified fast path never
+/// touches them.
 #[derive(Debug, Clone, Copy)]
 struct FusedEntry {
     op: FusedOp,
@@ -263,7 +264,6 @@ const INVALID_WORD: VerifyWord = VerifyWord {
 #[derive(Debug, Clone, Copy)]
 struct BlockLine {
     start: u32,
-    len: u32,
     steps: [BlockStep; SUPERBLOCK_MAX_LEN],
     /// Entries of the fused program (each covers 1–2 steps).
     fused_len: u32,
@@ -280,7 +280,6 @@ struct BlockLine {
 
 const INVALID_BLOCK: BlockLine = BlockLine {
     start: 1,
-    len: 0,
     steps: [INVALID_STEP; SUPERBLOCK_MAX_LEN],
     fused_len: 0,
     fused: [INVALID_FUSED; SUPERBLOCK_MAX_LEN],
@@ -639,11 +638,6 @@ pub struct Cpu {
     /// Superblock under construction (grown during single-step execution).
     chain: Box<BlockChain>,
     sb_enabled: bool,
-    /// Whether sealed blocks execute through their fused program (the
-    /// specialized op array) or the generic decoded-step loop. Both
-    /// tiers are bit-identical; the flag exists so benchmarks and
-    /// differential tests can measure the unfused superblock tier.
-    fuse_enabled: bool,
     sb: SuperblockStats,
     /// A fetch completed by `run_block`'s verify step whose instruction
     /// could not execute inside the block (the raw bits were stale):
@@ -692,7 +686,6 @@ impl Cpu {
                 steps: [INVALID_STEP; SUPERBLOCK_MAX_LEN],
             }),
             sb_enabled: true,
-            fuse_enabled: true,
             sb: SuperblockStats::default(),
             handoff: None,
             cycles: 0,
@@ -795,13 +788,15 @@ impl Cpu {
         (self.dcache_hits, self.dcache_misses)
     }
 
-    /// Enables or disables superblock execution ([`Cpu::run_block`]).
-    /// Like the decode cache, superblocks are a host-side accelerator
-    /// only — both settings execute bit-identically (same fetch counts,
-    /// timing and architectural effects); the differential suites in
-    /// `tests/active_path.rs` and `crates/cpu/tests/decode_cache.rs` run
-    /// the same workloads under both to prove it. Disabling also flushes
-    /// the block cache and clears the statistics.
+    /// Selects between the two CPU tiers: fused superblock execution
+    /// ([`Cpu::run_block`], the default) or one instruction per
+    /// [`Cpu::tick`]. Like the decode cache, superblocks are a host-side
+    /// accelerator only — both settings execute bit-identically (same
+    /// fetch counts, timing and architectural effects); the differential
+    /// suites in `tests/active_path.rs` and
+    /// `crates/cpu/tests/decode_cache.rs` run the same workloads under
+    /// both to prove it. Disabling also flushes the block cache and
+    /// clears the statistics.
     pub fn set_superblocks_enabled(&mut self, enabled: bool) {
         if !enabled {
             self.flush_superblocks();
@@ -813,21 +808,6 @@ impl Cpu {
     /// Whether superblock execution is active.
     pub fn superblocks_enabled(&self) -> bool {
         self.sb_enabled
-    }
-
-    /// Enables or disables op fusion inside sealed superblocks. With
-    /// fusion off, [`Cpu::run_block`] walks the generic decoded-step
-    /// loop instead of the fused program — bit-identical either way (the
-    /// fused tier re-verifies the same raw bits and bills the same
-    /// cycles), so no flush is needed on toggle; the fused program is
-    /// compiled unconditionally at seal time.
-    pub fn set_fusion_enabled(&mut self, enabled: bool) {
-        self.fuse_enabled = enabled;
-    }
-
-    /// Whether sealed blocks execute through their fused programs.
-    pub fn fusion_enabled(&self) -> bool {
-        self.fuse_enabled
     }
 
     /// Cumulative superblock counters since reset/disable.
@@ -913,7 +893,6 @@ impl Cpu {
                 if self.csrs.pending_interrupt().is_some() {
                     self.state = CpuState::Running;
                     self.stall = timing::WFI_WAKE;
-                    self.stall_cycles += u64::from(timing::WFI_WAKE);
                 } else {
                     self.sleep_cycles += 1;
                 }
@@ -998,10 +977,14 @@ impl Cpu {
     ///   (see [`StepClass`]) — nothing that can touch the bus, CSRs,
     ///   `mie`/`mstatus`, or trap — so one interrupt-deliverability check
     ///   on entry covers the whole span;
-    /// - each step re-fetches its raw bits through the prefetch buffer
-    ///   (the exact traffic `fetch_decode` would generate) and verifies
-    ///   them; a mismatch (self-modified code) aborts the block and hands
-    ///   the already-fetched bits to the next `fetch_decode`;
+    /// - a block whose worst-case cycles fit the budget is verified word
+    ///   by word in one side-effect-free sweep, then runs its fused
+    ///   program with the sweep's exact fetch accounting;
+    /// - otherwise each fused entry re-fetches its raw bits through the
+    ///   prefetch buffer (the exact traffic `fetch_decode` would
+    ///   generate) and verifies them; a mismatch (self-modified code)
+    ///   aborts the block and hands the already-fetched bits to the next
+    ///   `fetch_decode`;
     /// - an instruction's trailing stall is converted to bulk cycles only
     ///   up to the budget; any remainder stays in `stall` for the
     ///   per-cycle path, exactly as if the budget boundary had fallen
@@ -1039,152 +1022,87 @@ impl Cpu {
                     break;
                 }
                 self.sb.block_runs += 1;
-                if self.fuse_enabled {
-                    let flen = self.blocks[idx].fused_len as usize;
-                    // Budget covers the block even on its worst-case
-                    // timing path: verify every word once up front, then
-                    // execute the fused program with no per-step
-                    // re-verify or budget checks. On a verify miss,
-                    // `bulk_verify` backs out with no side effects and
-                    // the per-step loop below aborts bit-exactly.
-                    let covered = budget - used >= u64::from(self.blocks[idx].max_cycles);
-                    let clean = covered
-                        && if verified & (1 << idx) != 0 {
-                            // Already verified this call: charge the
-                            // sweep's exact fetch accounting. Memory is
-                            // frozen for the whole call, so the word
-                            // values (including the last word re-peeked
-                            // into the prefetch buffer) are unchanged.
-                            let wl = self.blocks[idx].words_len as usize;
-                            let first = self.blocks[idx].words[0].aligned;
-                            let last = self.blocks[idx].words[wl - 1].aligned;
-                            let hit0 = matches!(self.fetch_buf, Some((a, _)) if a == first);
-                            let misses = wl as u32 - u32::from(hit0);
-                            self.fetches += u64::from(misses);
-                            bus.charge_fetches(misses);
-                            self.fetch_buf = Some((last, bus.peek_fetch(last)));
-                            true
-                        } else {
-                            let ok = self.bulk_verify(idx, bus);
-                            if ok {
-                                verified |= 1 << idx;
-                            }
-                            ok
-                        };
-                    if clean {
-                        for e in 0..flen {
-                            let entry = self.blocks[idx].fused[e];
-                            used += self.execute_fused(&entry, budget - used);
-                            self.sb.block_instrs += u64::from(entry.n);
-                            self.sb.fused_ops += 1;
-                            if entry.n == 2 {
-                                self.sb.fused_pairs += 1;
-                            }
+                let flen = self.blocks[idx].fused_len as usize;
+                // Budget covers the block even on its worst-case
+                // timing path: verify every word once up front, then
+                // execute the fused program with no per-step
+                // re-verify or budget checks. On a verify miss,
+                // `bulk_verify` backs out with no side effects and
+                // the per-step loop below aborts bit-exactly.
+                let covered = budget - used >= u64::from(self.blocks[idx].max_cycles);
+                let clean = covered
+                    && if verified & (1 << idx) != 0 {
+                        // Already verified this call: charge the
+                        // sweep's exact fetch accounting. Memory is
+                        // frozen for the whole call, so the word
+                        // values (including the last word re-peeked
+                        // into the prefetch buffer) are unchanged.
+                        let wl = self.blocks[idx].words_len as usize;
+                        let first = self.blocks[idx].words[0].aligned;
+                        let last = self.blocks[idx].words[wl - 1].aligned;
+                        let hit0 = matches!(self.fetch_buf, Some((a, _)) if a == first);
+                        let misses = wl as u32 - u32::from(hit0);
+                        self.fetches += u64::from(misses);
+                        bus.charge_fetches(misses);
+                        self.fetch_buf = Some((last, bus.peek_fetch(last)));
+                        true
+                    } else {
+                        let ok = self.bulk_verify(idx, bus);
+                        if ok {
+                            verified |= 1 << idx;
                         }
-                        continue;
-                    }
-                    // Fused tier, per-step: walk the specialized op
-                    // array compiled at seal time. Each entry
-                    // re-verifies its raw bits (the exact fetch traffic
-                    // `fetch_decode` would generate) before executing,
-                    // so self-modifying code aborts bit-exactly, as in
-                    // the generic loop below.
+                        ok
+                    };
+                if clean {
                     for e in 0..flen {
-                        if used == budget {
-                            break 'blocks;
-                        }
                         let entry = self.blocks[idx].fused[e];
-                        debug_assert_eq!(
-                            self.pc, self.blocks[idx].steps[entry.step as usize].pc,
-                            "fused program tracks the step layout"
-                        );
-                        let ff = self.blocks[idx].fused_fetch[e];
-                        if let Some((raw, size)) = self.verify_step(ff.fetch, bus) {
-                            self.abort_block(idx, self.pc, raw, size);
-                            break 'blocks;
-                        }
-                        if entry.n == 2 {
-                            if budget - used < 2 {
-                                // No room for both halves: retire the
-                                // head through the generic path (pair
-                                // heads are zero-stall ALU ops, so it
-                                // fits the one remaining cycle exactly).
-                                let step = self.blocks[idx].steps[entry.step as usize];
-                                self.execute(step.instr, step.size, bus);
-                                self.sb.block_instrs += 1;
-                                debug_assert_eq!(self.stall, 0);
-                                used += 1;
-                                break 'blocks;
-                            }
-                            if let Some((raw, size)) = self.verify_step(ff.fetch2, bus) {
-                                // Second half went stale: retire the head
-                                // generically, then abort at the second
-                                // half's pc with the fresh bits. The head
-                                // is a register-only op, so fetching the
-                                // second half before executing it is
-                                // traffic-identical to the generic order.
-                                let step = self.blocks[idx].steps[entry.step as usize];
-                                self.execute(step.instr, step.size, bus);
-                                self.sb.block_instrs += 1;
-                                used += 1;
-                                self.abort_block(idx, self.pc, raw, size);
-                                break 'blocks;
-                            }
-                        }
                         used += self.execute_fused(&entry, budget - used);
-                        self.sb.block_instrs += u64::from(entry.n);
-                        self.sb.fused_ops += 1;
-                        if entry.n == 2 {
-                            self.sb.fused_pairs += 1;
-                        }
                     }
-                } else {
-                    let len = self.blocks[idx].len as usize;
-                    for k in 0..len {
-                        if used == budget {
-                            break 'blocks;
-                        }
-                        let step = self.blocks[idx].steps[k];
-                        let pc = self.pc;
-                        debug_assert_eq!(pc, step.pc, "superblock layout is sequential");
-                        // Re-fetch through the prefetch buffer — the exact
-                        // traffic `fetch_decode` would generate — and verify
-                        // the cached raw bits (self-modifying-code safety).
-                        let aligned = pc & !3;
-                        let word = self.fetch_word(aligned, bus);
-                        let low_half = if pc & 2 == 0 {
-                            (word & 0xFFFF) as u16
-                        } else {
-                            (word >> 16) as u16
-                        };
-                        let (raw, size) = if is_compressed(low_half) {
-                            (u32::from(low_half), 2)
-                        } else if pc & 2 == 0 {
-                            (word, 4)
-                        } else {
-                            let next = self.fetch_word(aligned + 4, bus);
-                            (u32::from(low_half) | (next << 16), 4)
-                        };
-                        if raw != step.raw || size != step.size {
-                            // Stale decode: drop the block and hand the
-                            // freshly fetched bits to the per-cycle path.
-                            self.abort_block(idx, pc, raw, size);
-                            break 'blocks;
-                        }
-                        self.execute(step.instr, step.size, bus);
-                        self.sb.block_instrs += 1;
-                        // Convert the instruction's stall into bulk cycles up
-                        // to the budget; a remainder stays in `stall` for the
-                        // per-cycle path.
-                        let extra = u64::from(self.stall);
-                        let take = extra.min(budget - used - 1);
-                        self.stall -= take as u32;
-                        self.stall_cycles += take;
-                        used += 1 + take;
-                        if self.state != CpuState::Running {
+                    continue;
+                }
+                // Per-step fallback (budget boundary inside the block,
+                // or a verify miss): each entry re-verifies its raw bits
+                // (the exact fetch traffic `fetch_decode` would
+                // generate) before executing, so budget boundaries and
+                // self-modifying code stop the block bit-exactly.
+                for e in 0..flen {
+                    if used == budget {
+                        break 'blocks;
+                    }
+                    let entry = self.blocks[idx].fused[e];
+                    debug_assert_eq!(
+                        self.pc, self.blocks[idx].steps[entry.step as usize].pc,
+                        "fused program tracks the step layout"
+                    );
+                    let ff = self.blocks[idx].fused_fetch[e];
+                    if let Some((raw, size)) = self.verify_step(ff.fetch, bus) {
+                        self.abort_block(idx, self.pc, raw, size);
+                        break 'blocks;
+                    }
+                    if entry.n == 2 {
+                        let room = budget - used >= 2;
+                        let stale = if room { self.verify_step(ff.fetch2, bus) } else { None };
+                        if !room || stale.is_some() {
+                            // No room for both halves, or the second
+                            // half went stale: retire the head alone
+                            // through `execute`. Pair heads are
+                            // zero-stall register-only ALU ops, so it
+                            // fits one cycle, and fetching the second
+                            // half first is traffic-identical to the
+                            // generic order. A stale half then aborts at
+                            // its own pc with the fresh bits.
+                            let step = self.blocks[idx].steps[entry.step as usize];
+                            self.execute(step.instr, step.size, bus);
+                            self.sb.block_instrs += 1;
+                            debug_assert_eq!(self.stall, 0);
+                            used += 1;
+                            if let Some((raw, size)) = stale {
+                                self.abort_block(idx, self.pc, raw, size);
+                            }
                             break 'blocks;
                         }
                     }
+                    used += self.execute_fused(&entry, budget - used);
                 }
             }
         }
@@ -1308,8 +1226,7 @@ impl Cpu {
 
     /// Executes one fused entry, updating architectural state and
     /// accounting exactly as its constituent instructions would through
-    /// `execute` + the generic loop's stall conversion, and returns the
-    /// cycles consumed (`>= entry.n`; a stall remainder past `remaining`
+    /// `execute` + stall ticks, and returns the cycles consumed (`>= entry.n`; a stall remainder past `remaining`
     /// stays in `stall` for the per-cycle path). The caller guarantees
     /// `remaining >= entry.n`. Fused ops are register-only or
     /// block-sealing control flow, so the pipeline stays `Running`.
@@ -1431,15 +1348,18 @@ impl Cpu {
         let n = u64::from(entry.n);
         self.retired += n;
         self.csrs.minstret += n;
-        // Bill the last constituent's trailing stall exactly as
-        // `retire` + the generic loop's bulk conversion would: the whole
-        // stall is accounted, and the part past the budget stays in
-        // `stall` for the per-cycle path. Pair heads are zero-stall, so
-        // only the last constituent ever contributes.
-        let extra64 = u64::from(extra);
-        let take = extra64.min(remaining - n);
+        self.sb.block_instrs += n;
+        self.sb.fused_ops += 1;
+        if entry.n == 2 {
+            self.sb.fused_pairs += 1;
+        }
+        // Burn the last constituent's trailing stall in bulk up to the
+        // budget; the remainder stays in `stall` for the per-cycle path,
+        // which counts it as it burns. Pair heads are zero-stall, so only
+        // the last constituent ever contributes.
+        let take = u64::from(extra).min(remaining - n);
         self.stall = extra - take as u32;
-        self.stall_cycles += extra64 + take;
+        self.stall_cycles += take;
         n + take
     }
 
@@ -1503,7 +1423,6 @@ impl Cpu {
         let idx = (start >> 1) as usize & (SUPERBLOCK_ENTRIES - 1);
         let line = &mut self.blocks[idx];
         line.start = start;
-        line.len = len;
         line.steps[..len as usize].copy_from_slice(&self.chain.steps[..len as usize]);
         line.fused_len =
             compile_fused(&self.chain.steps[..len as usize], &mut line.fused, &mut line.fused_fetch);
@@ -1604,11 +1523,13 @@ impl Cpu {
         word
     }
 
+    /// Retires one instruction. Its `extra_stall` trailing cycles are
+    /// counted in `stall_cycles` as they burn (stall ticks or a bulk
+    /// take in [`Cpu::run_block`]), never here.
     fn retire(&mut self, extra_stall: u32) {
         self.retired += 1;
         self.csrs.minstret += 1;
         self.stall = extra_stall;
-        self.stall_cycles += u64::from(extra_stall);
     }
 
     fn execute(&mut self, instr: Instr, size: u32, bus: &mut impl CpuBus) {
@@ -2063,6 +1984,37 @@ mod tests {
         assert_eq!(cpu.reg(1), 0, "target not yet executed");
         cpu.tick(&mut bus, 0);
         assert_eq!(cpu.reg(1), 1);
+    }
+
+    #[test]
+    fn stall_cycles_count_each_burned_cycle_once() {
+        // A taken `beq` retires in its issue cycle; its two trailing
+        // cycles are stall, counted as they burn and never at retire.
+        let p = [asm::beq(0, 0, 8), asm::ecall(), asm::addi(1, 0, 1)];
+        let mut bus = SimpleBus::new(4096);
+        bus.load(0, &p);
+        let mut cpu = Cpu::new(0);
+        cpu.set_superblocks_enabled(false);
+        for _ in 0..3 {
+            cpu.tick(&mut bus, 0);
+        }
+        assert_eq!((cpu.cycles(), cpu.retired(), cpu.stall_cycles), (3, 1, 2));
+    }
+
+    #[test]
+    fn wfi_wake_stall_is_counted_once() {
+        let mut bus = SimpleBus::new(4096);
+        bus.load(0, &[asm::wfi()]);
+        let mut cpu = Cpu::new(0);
+        cpu.csrs.mie = 1 << 11;
+        cpu.run(&mut bus, 0, 10);
+        assert!(cpu.is_sleeping());
+        let before = cpu.stall_cycles;
+        // The wake cycle arms the stall; the stall ticks burn it.
+        for _ in 0..=timing::WFI_WAKE {
+            cpu.tick(&mut bus, 1 << 11);
+        }
+        assert_eq!(cpu.stall_cycles - before, u64::from(timing::WFI_WAKE));
     }
 
     #[test]

@@ -324,13 +324,12 @@ fn disabling_flushes_and_resets_stats() {
     assert_eq!(cpu.decode_cache_stats(), (0, 0));
 }
 
-/// Three-way lockstep: fused superblocks, unfused superblocks and
-/// single-stepping advanced in ragged cycle budgets must agree on every
-/// observable at every budget boundary — including boundaries that land
+/// Lockstep: fused superblocks and single-stepping advanced in ragged
+/// cycle budgets must agree on every observable at every budget boundary — including boundaries that land
 /// on a fused pair's head (the one-cycle-left fallback) and mid-stall
 /// inside a `div`.
 #[test]
-fn fused_execution_matches_unfused_and_single_step_at_every_budget() {
+fn fused_execution_matches_single_step_at_every_budget() {
     // Dense in fusable patterns: a lui+addi pair, a same-rd ALU-imm
     // chain, a compare-and-branch pair, plus mul/div stall cases.
     let p = [
@@ -347,31 +346,23 @@ fn fused_execution_matches_unfused_and_single_step_at_every_budget() {
         asm::ecall(),           // 0x28
     ];
     let (mut fused, mut bus_fused) = fresh(&p, true);
-    let (mut unfused, mut bus_unfused) = fresh(&p, true);
-    unfused.set_fusion_enabled(false);
     let (mut single, mut bus_single) = fresh(&p, true);
     single.set_superblocks_enabled(false);
-    for cpu in [&mut fused, &mut unfused, &mut single] {
+    for cpu in [&mut fused, &mut single] {
         cpu.set_reg(8, 21);
     }
     let budgets = [1u64, 2, 3, 5, 7, 1, 4, 32, 2, 9, 64, 1, 1, 3, 128];
     'outer: loop {
         for &k in &budgets {
             fused.run(&mut bus_fused, 0, k);
-            unfused.run(&mut bus_unfused, 0, k);
             single.run(&mut bus_single, 0, k);
-            for (name, cpu, bus) in [
-                ("unfused", &unfused, &bus_unfused),
-                ("single", &single, &bus_single),
-            ] {
-                assert_eq!(fused.cycles(), cpu.cycles(), "{name}: cycles at {k}");
-                assert_eq!(fused.retired(), cpu.retired(), "{name}: retired at {k}");
-                assert_eq!(fused.pc(), cpu.pc(), "{name}: pc at {k}");
-                assert_eq!(fused.halt_cause(), cpu.halt_cause(), "{name}: halt at {k}");
-                assert_eq!(bus_fused.fetches, bus.fetches, "{name}: fetches at {k}");
-                for r in 0..32 {
-                    assert_eq!(fused.reg(r), cpu.reg(r), "{name}: x{r} at {k}");
-                }
+            assert_eq!(fused.cycles(), single.cycles(), "cycles at {k}");
+            assert_eq!(fused.retired(), single.retired(), "retired at {k}");
+            assert_eq!(fused.pc(), single.pc(), "pc at {k}");
+            assert_eq!(fused.halt_cause(), single.halt_cause(), "halt at {k}");
+            assert_eq!(bus_fused.fetches, bus_single.fetches, "fetches at {k}");
+            for r in 0..32 {
+                assert_eq!(fused.reg(r), single.reg(r), "x{r} at {k}");
             }
             if fused.halt_cause().is_some() {
                 break 'outer;
@@ -382,11 +373,6 @@ fn fused_execution_matches_unfused_and_single_step_at_every_budget() {
     let s = fused.superblock_stats();
     assert!(s.fused_pairs > 0, "the workload exercised pair fusion: {s:?}");
     assert!(s.fused_ops > s.fused_pairs, "single fused ops ran too: {s:?}");
-    assert_eq!(
-        unfused.superblock_stats().fused_ops,
-        0,
-        "the unfused tier never touches the fused program"
-    );
 }
 
 /// Patches the *second half* of a fused lui+addi pair through a store,
@@ -410,7 +396,7 @@ fn fused_execution_matches_unfused_and_single_step_at_every_budget() {
 /// The fused entry must retire the still-valid head generically (the
 /// architectural `lui` executes), abort on the stale second half, and
 /// hand the patched instruction to the generic frontend — bit-identical
-/// to unfused and single-stepped execution. The patched instruction
+/// to single-stepped execution. The patched instruction
 /// accumulates into `x5`, so the final value proves the head executed
 /// exactly once on the aborting run: 0x1000 (the re-run `lui`) + 99.
 fn pair_patch_program() -> Vec<u32> {
@@ -453,47 +439,18 @@ fn self_modifying_code_over_a_fused_pair_aborts_bit_exactly() {
 }
 
 #[test]
-fn pair_patch_retires_identical_streams_across_all_tiers() {
+fn pair_patch_retires_identical_streams_fused_and_single_step() {
     let p = pair_patch_program();
     let (mut fused, mut bus_fused) = fresh(&p, true);
     fused.run(&mut bus_fused, 0, 300);
-    let (mut unfused, mut bus_unfused) = fresh(&p, true);
-    unfused.set_fusion_enabled(false);
-    unfused.run(&mut bus_unfused, 0, 300);
     let (mut single, mut bus_single) = fresh(&p, true);
     single.set_superblocks_enabled(false);
     single.run(&mut bus_single, 0, 300);
-    for (name, cpu, bus) in [
-        ("unfused", &unfused, &bus_unfused),
-        ("single", &single, &bus_single),
-    ] {
-        assert_eq!(fused.cycles(), cpu.cycles(), "{name}: cycles");
-        assert_eq!(fused.retired(), cpu.retired(), "{name}: retired");
-        assert_eq!(bus_fused.fetches, bus.fetches, "{name}: fetch traffic");
-        assert_eq!(fused.halt_cause(), cpu.halt_cause(), "{name}: halt cause");
-        for r in 0..32 {
-            assert_eq!(fused.reg(r), cpu.reg(r), "{name}: x{r}");
-        }
+    assert_eq!(fused.cycles(), single.cycles(), "cycles");
+    assert_eq!(fused.retired(), single.retired(), "retired");
+    assert_eq!(bus_fused.fetches, bus_single.fetches, "fetch traffic");
+    assert_eq!(fused.halt_cause(), single.halt_cause(), "halt cause");
+    for r in 0..32 {
+        assert_eq!(fused.reg(r), single.reg(r), "x{r}");
     }
-}
-
-#[test]
-fn fusion_toggle_switches_tiers_without_flushing_blocks() {
-    let p = [
-        asm::addi(1, 0, 7),
-        asm::addi(2, 2, 1),
-        asm::addi(3, 2, 1),
-        asm::jal(0, -0xC),
-    ];
-    let (mut cpu, mut bus) = fresh(&p, true);
-    assert!(cpu.fusion_enabled());
-    cpu.run(&mut bus, 0, 100);
-    let warm = cpu.superblock_stats();
-    assert!(warm.fused_ops > 0, "default tier is fused: {warm:?}");
-    cpu.set_fusion_enabled(false);
-    assert!(!cpu.fusion_enabled());
-    cpu.run(&mut bus, 0, 100);
-    let cold = cpu.superblock_stats();
-    assert!(cold.block_runs > warm.block_runs, "blocks still run unfused");
-    assert_eq!(cold.fused_ops, warm.fused_ops, "fused counters frozen");
 }

@@ -404,7 +404,7 @@ struct TimelineSampler {
     /// First cycle at or past which the current window closes. Checked
     /// (never enforced) at run-loop observation points, so a quiescence
     /// skip crossing the boundary stretches the window instead of being
-    /// split — `try_skip` and `SchedStats` stay untouched.
+    /// split — skip spans and `SchedStats` stay untouched.
     next_boundary: u64,
     /// Cumulative activity image at window start (components flushed).
     baseline: ActivitySet,
@@ -578,10 +578,11 @@ pub struct Soc {
     /// Windowed activity sampler; `None` (the default) keeps every run
     /// loop's sampling cost at a single predictable branch.
     sampler: Option<Box<TimelineSampler>>,
-    /// Cached sprint eligibility: when set, the token-cacheable
-    /// preconditions of [`Soc::try_cpu_sprint`] were proven and no event
-    /// that could change them has happened since, so consecutive sprints
-    /// skip the re-proof. Dropped by [`Soc::invalidate_sprint_token`].
+    /// Cached sprint eligibility: when set, the inertness proof
+    /// ([`Soc::inert_guards_hold`]) was established by a sprint and no
+    /// event that could change it has happened since, so consecutive
+    /// sprints skip the re-proof. Dropped by
+    /// [`Soc::invalidate_sprint_token`].
     sprint_token: bool,
     /// Sprint-dispatch counters (host-side; never part of `SchedStats`).
     sprint: SprintStats,
@@ -1104,7 +1105,16 @@ impl Soc {
                     != 0);
         let mut any_woke = false;
         let mut woke_count = 0u64;
-        let pulses = if naive || stirred {
+        let mut ctx = PeriphCtx {
+            cycle,
+            time,
+            events_in: wires,
+            events_out: EventVector::EMPTY,
+            l2: &mut self.l2,
+            activity: &mut self.activity,
+            trace: &mut self.trace,
+        };
+        if naive || stirred {
             if naive {
                 self.sched.stats.naive_cycles += 1;
             } else {
@@ -1113,15 +1123,6 @@ impl Soc {
             let targeted = self.fabric.targeted_slaves();
             let touched = self.fabric.touched_slaves();
             let sleep = &mut self.sleep;
-            let mut ctx = PeriphCtx {
-                cycle,
-                time,
-                events_in: wires,
-                events_out: EventVector::EMPTY,
-                l2: &mut self.l2,
-                activity: &mut self.activity,
-                trace: &mut self.trace,
-            };
             for (sid, p) in self.fabric.slaves_mut() {
                 let i = sid.index();
                 if !naive {
@@ -1148,26 +1149,16 @@ impl Soc {
                 }
                 p.tick(&mut ctx);
             }
-            ctx.events_out | injected
         } else {
             // Fast path: no sleeper can wake, so only the active list
             // ticks — the per-cycle cost is proportional to activity, not
             // to the slave count.
             self.sched.stats.fast_cycles += 1;
-            let mut ctx = PeriphCtx {
-                cycle,
-                time,
-                events_in: wires,
-                events_out: EventVector::EMPTY,
-                l2: &mut self.l2,
-                activity: &mut self.activity,
-                trace: &mut self.trace,
-            };
             for &i in &self.sched.active {
                 self.fabric.slave_mut_at(i).tick(&mut ctx);
             }
-            ctx.events_out | injected
-        };
+        }
+        let pulses = ctx.events_out | injected;
         self.sched.stats.wakes += woke_count;
         if any_woke {
             self.sched.rebuild(&self.sleep);
@@ -1312,130 +1303,70 @@ impl Soc {
         }
     }
 
-    /// Attempts to advance up to `budget` cycles in one jump, possible
-    /// only when the whole SoC is provably inert: the CPU asleep (or
-    /// halted) with no wakeable interrupt, every peripheral asleep and
-    /// none of their wake wires high, the fabric empty, PELS steady, and
-    /// the wire image self-reproducing. Returns the cycles skipped (0 if
-    /// any component might act). Skipped peripherals are replayed by
-    /// `catch_up` at the next wake or sync, so the jump is
-    /// observationally identical to stepping — the differential test in
-    /// `tests/quiescence.rs` exercises exactly this path via random
-    /// `run` segment lengths.
-    fn try_skip(&mut self, budget: u64) -> u64 {
-        if self.naive_ticking || budget == 0 || !self.injected.is_empty() {
-            return 0;
-        }
-        // A running (or bus-stalled) CPU always vetoes the skip — that is
-        // the last check below (`skip_idle_cycles`), but on the busy path
-        // it is the common exit, so take it first and skip the slave-state
-        // proof entirely.
-        if matches!(self.cpu.state(), CpuState::Running | CpuState::MemWait) {
-            return 0;
-        }
-        let wires = self.prev_wires;
-        // Every slave must be asleep, unwakeable by the current wires,
-        // and strictly before its deadline; the span is bounded by the
-        // nearest deadline. The `sched` aggregates answer all three in
-        // O(1): an empty active list is "all asleep", the wake-mask
-        // union covers every sleeper's mask, and the minimum deadline
-        // bounds them all.
-        if !self.sched.active.is_empty() {
-            return 0;
-        }
-        if wires.intersects(self.sched.wake_union) {
-            return 0;
-        }
-        let remain = self.sched.next_deadline.saturating_sub(self.cycle);
-        if remain == 0 {
-            return 0;
-        }
-        let span = budget.min(remain);
-        if !self.fabric.is_quiescent() {
-            return 0;
-        }
-        // Peripheral pulses are empty while all slaves sleep, so PELS
-        // sees no external events; its output must already be latched
-        // and must be exactly the standing wire image (pulses would decay
-        // next cycle, so a mismatch means the image is still settling).
-        match self.pels.steady_output(EventVector::EMPTY) {
-            Some(visible) if visible == wires => {}
-            _ => return 0,
-        }
-        // The CPU commits the skip (or vetoes it if running/stalled or
-        // about to take an interrupt).
-        if !self.cpu.skip_idle_cycles(span, self.irq_pending) {
-            return 0;
-        }
-        self.pels.skip_cycles(span);
-        self.fabric.skip_cycles(span);
-        self.cycle += span;
-        self.window_cycles += span;
-        self.sched.stats.skip_spans += 1;
-        self.sched.stats.skipped_cycles += span;
-        span
-    }
-
-    /// Attempts to grant the *running* CPU a bounded multi-cycle budget
-    /// and retire whole superblocks in one visit ([`Cpu::run_block`]) —
-    /// the busy-CPU dual of [`Soc::try_skip`]. Returns the cycles
-    /// advanced (0 if the SoC is not provably inert around the CPU).
+    /// Attempts to advance up to `budget` cycles in one visit, possible
+    /// only when everything but the CPU is provably inert
+    /// ([`Soc::inert_guards_hold`]) and no sleeper deadline is due.
+    /// Returns the cycles advanced (0 if any component might act; the
+    /// caller then steps one full cycle). What the CPU does with the span
+    /// depends on its state:
     ///
-    /// The span is only entered when every cycle in it would have taken
-    /// the fast scheduler path with nothing but the CPU acting: every
-    /// peripheral asleep, strictly before its deadline, unwakeable by the
-    /// standing wires or by fabric traffic, the fabric empty, PELS steady
-    /// with a self-reproducing wire image, and no deliverable interrupt.
-    /// Block instructions are register-only (no bus, CSR or trap
-    /// activity), so none of those conditions can change inside the span;
-    /// the budget is additionally capped at the nearest peripheral
-    /// deadline and the open timeline-window boundary, keeping
-    /// `SchedStats` (sprinted cycles are exactly the fast-path cycles
-    /// single-stepping would count), skip spans, windowed timelines and
-    /// interrupt delivery bit-identical to single-stepped execution. The
-    /// differential suite in `tests/active_path.rs` proves it.
-    fn try_cpu_sprint(&mut self, budget: u64) -> u64 {
+    /// - **asleep or halted — skip.** [`Cpu::skip_idle_cycles`] jumps the
+    ///   whole span (or vetoes it for a wakeable interrupt). A skip
+    ///   crossing a timeline-window boundary stretches the window instead
+    ///   of being split. `may_skip == false` refuses this branch
+    ///   ([`Soc::run_until`], whose predicate may watch a sleeper).
+    /// - **running — sprint.** [`Cpu::run_block`] retires whole
+    ///   superblocks for at most the span, capped at the open
+    ///   timeline-window boundary (single-stepping closes the window
+    ///   exactly there). Block instructions are register-only (no bus,
+    ///   CSR or trap activity), so none of the guards can change inside
+    ///   the span, and every sprinted cycle is exactly a fast-path cycle
+    ///   single-stepping would count. The sprint token caches the proof
+    ///   across consecutive sprints.
+    ///
+    /// Either way the skipped peripherals are replayed by `catch_up` at
+    /// their next wake or sync, so the span is observationally identical
+    /// to stepping — the differentials in `tests/quiescence.rs` and
+    /// `tests/active_path.rs` prove it via random `run` segment lengths.
+    fn try_inert_span(&mut self, budget: u64, may_skip: bool) -> u64 {
         // Cycle- and caller-dependent conditions are re-checked on every
-        // entry: they legitimately change between consecutive sprints
-        // (injection, CPU state, the advancing cycle) and are O(1).
+        // entry and are O(1); a bus-stalled CPU always vetoes.
         if self.naive_ticking || budget == 0 || !self.injected.is_empty() {
             return 0;
         }
-        if self.cpu.state() != CpuState::Running {
-            return 0;
-        }
-        // Everything else — the expensive part of the proof — is cached
-        // in the sprint token: a successful sprint changes nothing the
-        // guards depend on (block instructions are register-only, PELS
-        // and fabric idle-advance, no slave state moves), so the proof
-        // holds until an invalidating event drops the token.
-        if self.sprint_token {
+        let sprint = match self.cpu.state() {
+            CpuState::Running => true,
+            CpuState::Sleeping | CpuState::Halted if may_skip => false,
+            _ => return 0,
+        };
+        if sprint && self.sprint_token {
+            // A successful sprint changes nothing the guards depend on
+            // (block instructions are register-only, PELS and fabric
+            // idle-advance, no slave state moves), so the proof holds
+            // until an invalidating event drops the token.
             self.sprint.token_hits += 1;
             debug_assert!(
-                self.sprint_guards_hold(),
-                "live sprint token must imply the guard preconditions"
+                self.inert_guards_hold(),
+                "live sprint token must imply the inertness proof"
             );
         } else {
-            if !self.sprint_guards_hold() {
+            if !self.inert_guards_hold() {
                 return 0;
             }
-            self.sprint_token = true;
-            self.sprint.proofs += 1;
+            if sprint {
+                self.sprint_token = true;
+                self.sprint.proofs += 1;
+            }
         }
         let remain = self.sched.next_deadline.saturating_sub(self.cycle);
-        if remain == 0 {
-            return 0;
-        }
-        // Never sprint across a timeline-window boundary: single-stepping
-        // closes the window exactly at the boundary cycle.
         let mut span = budget.min(remain);
-        if let Some(s) = &self.sampler {
-            span = span.min(s.next_boundary.saturating_sub(self.cycle));
-        }
         if span == 0 {
             return 0;
         }
-        let used = {
+        let used = if sprint {
+            if let Some(s) = &self.sampler {
+                span = span.min(s.next_boundary.saturating_sub(self.cycle));
+            }
             let time = self.time();
             let mut bus = CpuPort {
                 l2: &mut self.l2,
@@ -1448,32 +1379,43 @@ impl Soc {
                 time,
                 cpu_id: self.clock_ids.ibex,
             };
-            self.cpu.run_block(&mut bus, self.irq_pending, span)
+            let used = self.cpu.run_block(&mut bus, self.irq_pending, span);
+            if used == 0 {
+                return 0;
+            }
+            self.cpu_awake_cycles += used;
+            self.sched.stats.fast_cycles += used;
+            self.sprint.spans += 1;
+            used
+        } else {
+            if !self.cpu.skip_idle_cycles(span, self.irq_pending) {
+                return 0;
+            }
+            self.sched.stats.skip_spans += 1;
+            self.sched.stats.skipped_cycles += span;
+            span
         };
-        if used == 0 {
-            return 0;
-        }
-        // Whole-span bookkeeping, exactly as `used` fast-path cycles of
-        // `step_inner` would have accounted: PELS and fabric idle-advance,
-        // the wire image reproduces itself, and every cycle was a
-        // fast-path cycle with the CPU awake.
+        // Whole-span bookkeeping, exactly as `used` inert cycles of
+        // `step_inner` would have accounted: PELS and fabric idle-advance
+        // and the wire image reproduces itself.
         self.pels.skip_cycles(used);
         self.fabric.skip_cycles(used);
         self.cycle += used;
         self.window_cycles += used;
-        self.cpu_awake_cycles += used;
-        self.sched.stats.fast_cycles += used;
-        self.sprint.spans += 1;
         used
     }
 
-    /// The token-cacheable preconditions of [`Soc::try_cpu_sprint`]:
-    /// every slave asleep, unwakeable by the standing wires, not about
-    /// to be stirred by fabric traffic, the fabric empty, and PELS
-    /// latched steady on exactly the wire image. Cycle-dependent
-    /// conditions (deadlines, window boundaries, injection, CPU state)
-    /// are *not* covered — those are re-checked on every entry.
-    fn sprint_guards_hold(&self) -> bool {
+    /// The inertness proof shared by skips and sprints: every slave
+    /// asleep and unwakeable by the standing wires, the fabric empty, no
+    /// sleeper touched by last cycle's fabric phases (it would be stirred
+    /// awake this cycle), and PELS latched steady on exactly the wire
+    /// image. Cycle-dependent conditions (deadlines, window boundaries,
+    /// injection, CPU state) are *not* covered — [`Soc::try_inert_span`]
+    /// re-checks those on every entry, which is what lets the sprint
+    /// token cache this proof.
+    fn inert_guards_hold(&self) -> bool {
+        // An empty active list is "all asleep", and the wake-mask union
+        // covers every sleeper's mask.
         if !self.sched.active.is_empty() {
             return false;
         }
@@ -1481,20 +1423,16 @@ impl Soc {
         if wires.intersects(self.sched.wake_union) {
             return false;
         }
-        // A sleeper whose registers last cycle's fabric phases touched
-        // (or that a pending request targets) would be stirred awake this
-        // cycle — the sprint must not paper over that wake.
-        if (self.fabric.targeted_slaves() | self.fabric.touched_slaves()) & self.sched.asleep != 0
-        {
-            return false;
-        }
-        if !self.fabric.is_quiescent() {
+        // Quiescence implies no request targets any slave, so only the
+        // touched mask remains for the stirred-sleeper check.
+        if !self.fabric.is_quiescent() || self.fabric.touched_slaves() & self.sched.asleep != 0 {
             return false;
         }
         // All slaves sleep, so the peripheral pulse image is empty and
         // PELS must already be latched steady on exactly the standing
-        // wires (same argument as `try_skip`); block instructions cannot
-        // reach PELS config, so it stays steady for the whole span.
+        // wires (pulses would decay next cycle, so a mismatch means the
+        // image is still settling). Block instructions cannot reach PELS
+        // config, so it stays steady for the whole span.
         matches!(
             self.pels.steady_output(EventVector::EMPTY),
             Some(visible) if visible == wires
@@ -1513,22 +1451,22 @@ impl Soc {
         }
     }
 
+    /// One scheduler visit of the run loops: an inert span of at most
+    /// `budget` cycles when one is provable, otherwise one full cycle;
+    /// then the timeline observation point.
+    fn advance(&mut self, budget: u64, may_skip: bool) {
+        if self.try_inert_span(budget, may_skip) == 0 {
+            self.step_inner();
+        }
+        self.timeline_tick();
+    }
+
     /// Runs `n` cycles, jumping over whole-SoC idle spans and sprinting
     /// through cached CPU superblocks when possible.
     pub fn run(&mut self, n: u64) {
-        let mut done = 0;
-        while done < n {
-            let mut advanced = self.try_skip(n - done);
-            if advanced == 0 {
-                advanced = self.try_cpu_sprint(n - done);
-            }
-            if advanced == 0 {
-                self.step_inner();
-                done += 1;
-            } else {
-                done += advanced;
-            }
-            self.timeline_tick();
+        let start = self.cycle;
+        while self.cycle - start < n {
+            self.advance(n - (self.cycle - start), true);
         }
         self.sync_slaves();
     }
@@ -1536,7 +1474,7 @@ impl Soc {
     /// Runs until `pred(self)` holds or `max_cycles` elapse; returns
     /// `true` if the predicate was met.
     ///
-    /// Never jumps over idle spans (the predicate could observe any
+    /// Never skips idle spans (the predicate could observe any
     /// peripheral state). The one granted shortcut is the CPU superblock
     /// sprint: while the rest of the SoC is provably inert and only the
     /// CPU acts, the predicate is evaluated at superblock boundaries
@@ -1556,10 +1494,7 @@ impl Soc {
             if pred(self) {
                 return true;
             }
-            if self.try_cpu_sprint(end - self.cycle) == 0 {
-                self.step_inner();
-            }
-            self.timeline_tick();
+            self.advance(end - self.cycle, false);
         }
         self.sync_slaves();
         pred(self)
@@ -1600,12 +1535,7 @@ impl Soc {
                 self.sync_slaves();
                 return done;
             }
-            if self.try_skip(end - self.cycle) == 0
-                && self.try_cpu_sprint(end - self.cycle) == 0
-            {
-                self.step_inner();
-            }
-            self.timeline_tick();
+            self.advance(end - self.cycle, true);
         }
     }
 
@@ -1968,7 +1898,7 @@ mod tests {
 
     /// A SoC spinning in a register-only loop with every peripheral
     /// asleep — the sprint-eligible steady state. Each guard test starts
-    /// from a machine where `try_cpu_sprint` provably works, then
+    /// from a machine where `try_inert_span` provably sprints, then
     /// arranges exactly one precondition violation.
     fn sprinting_soc() -> Soc {
         let mut soc = SocBuilder::new().build();
@@ -1985,7 +1915,7 @@ mod tests {
         // (a partial budget would otherwise leave the pc mid-block).
         let mut aligned = false;
         for _ in 0..8 {
-            if soc.try_cpu_sprint(3) > 0 {
+            if soc.try_inert_span(3, true) > 0 {
                 aligned = true;
                 break;
             }
@@ -1999,7 +1929,7 @@ mod tests {
     fn sprint_bails_on_injected_events() {
         let mut soc = sprinting_soc();
         soc.inject_event(42);
-        assert_eq!(soc.try_cpu_sprint(64), 0, "pending injection vetoes the sprint");
+        assert_eq!(soc.try_inert_span(64, true), 0, "pending injection vetoes the sprint");
     }
 
     #[test]
@@ -2008,7 +1938,7 @@ mod tests {
         // A direct poke forces the slave awake (and drops the token).
         let _ = soc.timer_mut();
         assert!(!soc.sched.active.is_empty());
-        assert_eq!(soc.try_cpu_sprint(64), 0, "an awake slave vetoes the sprint");
+        assert_eq!(soc.try_inert_span(64, true), 0, "an awake slave vetoes the sprint");
     }
 
     #[test]
@@ -2019,7 +1949,7 @@ mod tests {
         soc.sched.wake_union |= line;
         soc.prev_wires |= line;
         assert_eq!(
-            soc.try_cpu_sprint(64),
+            soc.try_inert_span(64, true),
             0,
             "a standing wire that can wake a sleeper vetoes the sprint"
         );
@@ -2029,25 +1959,48 @@ mod tests {
     fn sprint_bails_on_a_due_deadline() {
         let mut soc = sprinting_soc();
         soc.sched.next_deadline = soc.cycle();
-        assert_eq!(soc.try_cpu_sprint(64), 0, "a due sleeper deadline leaves no span");
+        assert_eq!(soc.try_inert_span(64, true), 0, "a due sleeper deadline leaves no span");
+    }
+
+    /// Completes a read of a sleeping slave directly on the fabric: the
+    /// fabric ends quiescent, but last cycle's phases touched a sleeper,
+    /// which the next step would stir awake.
+    fn touch_a_sleeper(soc: &mut Soc) {
+        let addr = apb_reg(GPIO_OFFSET, Gpio::PADOUTSET);
+        soc.fabric
+            .issue(soc.cpu_master, ApbRequest::read(addr))
+            .unwrap();
+        soc.fabric.tick(); // grant
+        soc.fabric.tick(); // access: the read lands
+        assert!(soc.fabric.is_quiescent());
+        assert_ne!(
+            soc.fabric.touched_slaves() & soc.sched.asleep,
+            0,
+            "the read must touch a sleeper"
+        );
     }
 
     #[test]
     fn sprint_bails_on_a_stirred_sleeper() {
         let mut soc = sprinting_soc();
         soc.sprint_token = false;
-        // A pending request targeting a sleeping slave would stir it
-        // awake on the next fabric tick.
-        let addr = apb_reg(GPIO_OFFSET, Gpio::PADOUTSET);
-        soc.fabric
-            .issue(soc.cpu_master, ApbRequest::read(addr))
-            .unwrap();
-        assert_ne!(
-            (soc.fabric.targeted_slaves() | soc.fabric.touched_slaves()) & soc.sched.asleep,
-            0,
-            "the request must target a sleeper"
-        );
-        assert_eq!(soc.try_cpu_sprint(64), 0, "a stirred sleeper vetoes the sprint");
+        touch_a_sleeper(&mut soc);
+        assert_eq!(soc.try_inert_span(64, true), 0, "a stirred sleeper vetoes the sprint");
+    }
+
+    #[test]
+    fn skip_shares_the_inertness_proof() {
+        let mut soc = SocBuilder::new().build();
+        soc.load_program(RESET_PC, &[asm::wfi(), asm::jal(0, -4)]);
+        soc.run(400);
+        assert!(soc.cpu().is_sleeping());
+        assert_eq!(soc.try_inert_span(64, false), 0, "run_until never skips");
+        touch_a_sleeper(&mut soc);
+        assert_eq!(soc.try_inert_span(64, true), 0, "a stirred sleeper vetoes the skip");
+        soc.step();
+        let before = soc.sched_stats().skip_spans;
+        assert_eq!(soc.try_inert_span(64, true), 64, "the stir wake clears the veto");
+        assert_eq!(soc.sched_stats().skip_spans, before + 1);
     }
 
     #[test]
@@ -2063,7 +2016,7 @@ mod tests {
             .unwrap();
         assert_eq!(soc.fabric.targeted_slaves() & soc.sched.asleep, 0);
         assert!(!soc.fabric.is_quiescent());
-        assert_eq!(soc.try_cpu_sprint(64), 0, "a busy fabric vetoes the sprint");
+        assert_eq!(soc.try_inert_span(64, true), 0, "a busy fabric vetoes the sprint");
     }
 
     #[test]
@@ -2077,7 +2030,7 @@ mod tests {
         assert!(!line.intersects(soc.sched.wake_union));
         soc.prev_wires |= line;
         assert_eq!(
-            soc.try_cpu_sprint(64),
+            soc.try_inert_span(64, true),
             0,
             "a wire image PELS does not hold steady vetoes the sprint"
         );
@@ -2089,7 +2042,7 @@ mod tests {
         soc.start_timeline(1_000);
         soc.sampler.as_mut().expect("sampling started").next_boundary = soc.cycle();
         assert_eq!(
-            soc.try_cpu_sprint(64),
+            soc.try_inert_span(64, true),
             0,
             "an open window boundary at the current cycle leaves no span"
         );
@@ -2104,15 +2057,15 @@ mod tests {
         // retire nothing). One-iteration budgets keep it aligned.
         let _ = soc.pels_mut();
         let s0 = soc.sprint_stats();
-        assert!(soc.try_cpu_sprint(3) > 0);
-        assert!(soc.try_cpu_sprint(3) > 0);
+        assert!(soc.try_inert_span(3, true) > 0);
+        assert!(soc.try_inert_span(3, true) > 0);
         let s1 = soc.sprint_stats();
         assert_eq!(s1.proofs, s0.proofs + 1, "one full proof covers both sprints");
         assert_eq!(s1.token_hits, s0.token_hits + 1, "second sprint hit the token");
         let _ = soc.pels_mut();
         let s2 = soc.sprint_stats();
         assert_eq!(s2.invalidations, s1.invalidations + 1, "a poke drops the token");
-        assert!(soc.try_cpu_sprint(3) > 0);
+        assert!(soc.try_inert_span(3, true) > 0);
         assert_eq!(soc.sprint_stats().proofs, s1.proofs + 1, "the next sprint re-proves");
     }
 

@@ -148,6 +148,70 @@ fn fast_scheduler_is_observationally_identical_to_naive() {
     }
 }
 
+/// A sequenced PELS write lands on a sleeping slave while the CPU sleeps
+/// in `wfi`: the pending request wakes the GPIO, the write commits, and
+/// the GPIO goes straight back to sleep — so the next cycle starts with a
+/// sleeper in the fabric's touched mask. Skips around that moment must be
+/// invisible: random `run` segment lengths observe exactly what the naive
+/// scheduler does.
+#[test]
+fn pels_write_to_a_sleeping_slave_is_identical_to_naive() {
+    use pels_repro::core::Command;
+    use pels_repro::soc::mem_map::{pels_word_offset, APB_BASE};
+    fn soc() -> Soc {
+        let mut soc = SocBuilder::new().timer_starts_spi(false).build();
+        let link = soc.pels_mut().link_mut(0);
+        link.set_mask(pels_repro::sim::EventVector::mask_of(&[EV_TIMER_CMP]))
+            .set_base(APB_BASE);
+        link.load_program(
+            &pels_core::Program::new(vec![
+                Command::Write {
+                    offset: pels_word_offset(GPIO_OFFSET, Gpio::PADOUTSET),
+                    value: 0x5,
+                },
+                Command::Wait { cycles: 3 },
+                Command::Toggle {
+                    offset: pels_word_offset(GPIO_OFFSET, Gpio::PADOUT),
+                    mask: 0x2,
+                },
+                Command::Halt,
+            ])
+            .expect("valid"),
+        )
+        .expect("fits");
+        soc.load_program(RESET_PC, &[asm::wfi(), asm::jal(0, -4)]);
+        soc.timer_mut().write(Timer::CMP, 40).unwrap();
+        soc.timer_mut()
+            .write(Timer::CTRL, Timer::CTRL_ENABLE)
+            .unwrap();
+        soc
+    }
+    let mut rng = Rng::seed_from_u64(0x7E1D_5EE9);
+    for case in 0..16 {
+        let mut fast = soc();
+        let mut naive = soc();
+        naive.set_naive_scheduling(true);
+        let n = rng.range_u64(8, 24);
+        for i in 0..=n {
+            let op = match rng.index(6) {
+                // The last segment is long enough for several transfers.
+                _ if i == n => Op::Run(1_000),
+                0..=3 => Op::Run(rng.range_u64(1, 50)),
+                4 => Op::Run(rng.range_u64(100, 1_500)),
+                _ => Op::PokeTimerCmp(rng.range_u64(8, 64) as u32),
+            };
+            apply(&mut fast, op);
+            apply(&mut naive, op);
+            assert_identical(&fast, &naive, &format!("case {case} op {i} ({op:?})"));
+        }
+        assert!(fast.gpio().pad_toggles() > 0, "case {case}: PELS wrote the GPIO");
+        assert!(fast.sched_stats().skip_spans > 0, "case {case}: the fast run skipped");
+        let af = activity_image(&fast.drain_activity());
+        let an = activity_image(&naive.drain_activity());
+        assert_eq!(af, an, "case {case}: activity (power input) diverges");
+    }
+}
+
 /// Wake condition 1 — deadline: a sleeping timer still fires its compare
 /// match at exactly the right cycle, with no CPU or bus traffic to wake
 /// it early.
