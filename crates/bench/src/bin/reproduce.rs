@@ -36,6 +36,8 @@ use pels_bench::{ablations, experiments, sota, throughput};
 use pels_desc::{DescFuzzer, FuzzCase};
 use pels_fleet::{report as fleet_report, FleetEngine, SweepSpec};
 use pels_interconnect::{ArbiterKind, Topology};
+use pels_obs::json::{self, Value};
+use pels_obs::json_object;
 use pels_power::{Battery, EnergyLedger};
 use pels_sim::SimTime;
 use pels_soc::{Mediator, Scenario, ScenarioDesc, SensorKind, SystemDesc};
@@ -110,62 +112,41 @@ fn lifetime_to_json(
     irq: &pels_power::LifetimeReport,
     fleet: &pels_fleet::FleetReport,
 ) -> String {
-    use std::fmt::Write as _;
-    let days = |r: &pels_power::LifetimeReport| {
-        if r.seconds.is_finite() {
-            r.days().to_string()
-        } else {
-            "null".to_string()
-        }
-    };
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"schema_version\": 1,");
-    let _ = writeln!(s, "  \"quick\": {quick},");
-    let _ = writeln!(
-        s,
-        "  \"battery\": {{\"capacity_mah\": {}, \"nominal_v\": {}, \
-         \"rate_exponent\": {}, \"sleep_floor_uw\": {}, \"cutoff_fraction\": {}}},",
-        battery.capacity_mah,
-        battery.nominal_v,
-        battery.rate_exponent,
-        battery.sleep_floor_uw,
-        battery.cutoff_fraction,
-    );
-    let _ = writeln!(
-        s,
-        "  \"headline\": {{\"sample_period_us\": {}, \"horizon_ms\": {}, \
-         \"pels_days\": {}, \"irq_days\": {}, \"lifetime_ratio\": {}, \
-         \"pels_mean_uw\": {}, \"irq_mean_uw\": {}}},",
-        period.as_us_f64(),
-        horizon.as_us_f64() / 1e3,
-        days(pels),
-        days(irq),
-        pels.seconds / irq.seconds,
-        pels.mean_draw_uw,
-        irq.mean_draw_uw,
-    );
-    s.push_str("  \"sweep\": [");
-    let rows: Vec<_> = fleet.succeeded().collect();
-    for (i, (label, o)) in rows.iter().enumerate() {
-        let sep = if i + 1 < rows.len() { "," } else { "" };
+    let sweep = fleet.succeeded().map(|(label, o)| {
         let ledger = o.report.energy.as_ref().expect("lifetime(true) ledger");
         let projection = o.report.lifetime.as_ref().expect("lifetime(true) projection");
-        let _ = write!(
-            s,
-            "\n    {{\"label\": \"{}\", \"mediator\": \"{}\", \
-             \"sample_period_us\": {}, \"spi_words\": {}, \"mean_uw\": {}, \"days\": {}}}{sep}",
-            pels_obs::json::escape(label),
-            o.scenario.desc().mediator,
-            o.scenario.desc().sample_period.as_us_f64(),
-            o.scenario.desc().spi_words,
-            ledger.mean_power().as_uw(),
-            days(projection),
-        );
-    }
-    s.push_str("\n  ],\n");
-    let _ = writeln!(s, "  \"digest\": \"{:016x}\"", fleet.digest());
-    s.push_str("}\n");
-    s
+        let desc = o.scenario.desc();
+        json_object! {
+            "label" => label,
+            "mediator" => desc.mediator.to_string(),
+            "sample_period_us" => desc.sample_period.as_us_f64(),
+            "spi_words" => desc.spi_words,
+            "mean_uw" => ledger.mean_power().as_uw(),
+            "days" => projection.days(),
+        }
+    });
+    json::to_string(&json_object! {
+        "schema_version" => 1u64,
+        "quick" => quick,
+        "battery" => json_object! {
+            "capacity_mah" => battery.capacity_mah,
+            "nominal_v" => battery.nominal_v,
+            "rate_exponent" => battery.rate_exponent,
+            "sleep_floor_uw" => battery.sleep_floor_uw,
+            "cutoff_fraction" => battery.cutoff_fraction,
+        },
+        "headline" => json_object! {
+            "sample_period_us" => period.as_us_f64(),
+            "horizon_ms" => horizon.as_us_f64() / 1e3,
+            "pels_days" => pels.days(),
+            "irq_days" => irq.days(),
+            "lifetime_ratio" => pels.seconds / irq.seconds,
+            "pels_mean_uw" => pels.mean_draw_uw,
+            "irq_mean_uw" => irq.mean_draw_uw,
+        },
+        "sweep" => Value::Arr(sweep.collect()),
+        "digest" => format!("{:016x}", fleet.digest()),
+    })
 }
 
 /// The `lifetime` artifact: how long does the node last on a coin cell?
@@ -253,43 +234,32 @@ fn run_lifetime_artifact(quick: bool) -> Result<String, String> {
 /// per-readout power bursts.
 const OBS_TIMELINE_WINDOW: u64 = 64;
 
-/// Serializes the power timeline as the flat `OBS_timeline.json`
-/// artifact: per window, the cycle/ns span, the total power and the
+/// Serializes the power timeline as the `OBS_timeline.json` artifact:
+/// per window, the cycle/ns span, the total power and the
 /// per-component breakdown. `obs_check` schema-gates this file.
 fn timeline_to_json(
     report: &pels_soc::ScenarioReport,
     power: &pels_power::PowerTimeline,
 ) -> String {
-    use std::fmt::Write as _;
     let timeline = report.timeline.as_ref().expect("timeline sampled");
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"schema_version\": 1,");
-    let _ = writeln!(s, "  \"freq_mhz\": {},", report.freq.as_mhz());
-    let _ = writeln!(s, "  \"window_cycles\": {},", timeline.window_cycles);
-    let _ = writeln!(s, "  \"mean_total_uw\": {},", power.mean_total_uw());
-    s.push_str("  \"windows\": [");
-    let n = timeline.windows.len().min(power.samples.len());
-    for i in 0..n {
-        let (w, p) = (&timeline.windows[i], &power.samples[i]);
-        let sep = if i + 1 < n { "," } else { "" };
-        let _ = write!(
-            s,
-            "\n    {{\"start_cycle\": {}, \"end_cycle\": {}, \"start_ns\": {}, \
-             \"end_ns\": {}, \"total_uw\": {}, \"components\": {{",
-            w.start_cycle,
-            w.end_cycle,
-            p.start.as_ns(),
-            p.end.as_ns(),
-            p.total_uw,
-        );
-        for (j, (name, uw)) in p.components.iter().enumerate() {
-            let csep = if j + 1 < p.components.len() { ", " } else { "" };
-            let _ = write!(s, "\"{}\": {uw}{csep}", pels_obs::json::escape(name));
+    let windows = timeline.windows.iter().zip(&power.samples).map(|(w, p)| {
+        let components = p
+            .components
+            .iter()
+            .map(|(name, uw)| (name.as_str(), Value::from(*uw)));
+        json_object! {
+            "start_cycle" => w.start_cycle, "end_cycle" => w.end_cycle,
+            "start_ns" => p.start.as_ns(), "end_ns" => p.end.as_ns(),
+            "total_uw" => p.total_uw, "components" => Value::object(components),
         }
-        let _ = write!(s, "}}}}{sep}");
-    }
-    s.push_str("\n  ]\n}\n");
-    s
+    });
+    json::to_string(&json_object! {
+        "schema_version" => 1u64,
+        "freq_mhz" => report.freq.as_mhz(),
+        "window_cycles" => timeline.window_cycles,
+        "mean_total_uw" => power.mean_total_uw(),
+        "windows" => Value::Arr(windows.collect()),
+    })
 }
 
 /// Serializes the three per-mediator flow decompositions as
@@ -298,38 +268,27 @@ fn timeline_to_json(
 /// sources, typed stages). `obs_check` gates non-emptiness, hop-time
 /// monotonicity and the stage allowlist against this file.
 fn flows_to_json(sections: &[(&str, &pels_soc::ScenarioReport)]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"schema_version\": 1,");
-    for (i, (name, report)) in sections.iter().enumerate() {
+    let sections = sections.iter().map(|&(name, report)| {
         let fr = report.flow_report().expect("flows recorded");
         let flows = report.flows.as_ref().expect("flows recorded");
-        let sep = if i + 1 < sections.len() { "," } else { "" };
-        let _ = writeln!(s, "  \"{name}\": {{");
-        let _ = writeln!(s, "    \"freq_mhz\": {},", report.freq.as_mhz());
-        let _ = writeln!(s, "    \"report\": {},", fr.to_json());
-        s.push_str("    \"exemplar_hops\": [");
         let exemplar = flows
             .flow_ids()
             .into_iter()
             .find(|&id| flows.hops_of(id).any(|h| h.stage == fr.terminal()));
-        if let Some(id) = exemplar {
-            let hops: Vec<_> = flows.hops_of(id).collect();
-            for (j, h) in hops.iter().enumerate() {
-                let hsep = if j + 1 < hops.len() { "," } else { "" };
-                let _ = write!(
-                    s,
-                    "\n      {{\"t_ps\": {}, \"source\": \"{}\", \"stage\": \"{}\"}}{hsep}",
-                    h.time.as_ps(),
-                    pels_obs::json::escape(h.source_name()),
-                    pels_obs::json::escape(h.stage),
-                );
+        let hops = exemplar.into_iter().flat_map(|id| flows.hops_of(id)).map(|h| {
+            json_object! {
+                "t_ps" => h.time.as_ps(), "source" => h.source_name(), "stage" => h.stage,
             }
-        }
-        let _ = writeln!(s, "\n    ]\n  }}{sep}");
-    }
-    s.push_str("}\n");
-    s
+        });
+        let section = json_object! {
+            "freq_mhz" => report.freq.as_mhz(),
+            "report" => fr.to_value(),
+            "exemplar_hops" => Value::Arr(hops.collect()),
+        };
+        (name, section)
+    });
+    let schema = std::iter::once(("schema_version", Value::from(1u64)));
+    json::to_string(&Value::object(schema.chain(sections)))
 }
 
 /// The `--obs` pass: runs a busy-CPU scenario (activity timeline
@@ -452,7 +411,7 @@ fn run_obs_artifact() -> Result<String, String> {
     }
 
     let snap = reg.snapshot();
-    std::fs::write("OBS_metrics.json", snap.to_json())
+    std::fs::write("OBS_metrics.json", json::to_string(&snap.to_value()))
         .map_err(|e| format!("writing OBS_metrics.json: {e}"))?;
 
     let mut chrome = pels_obs::ChromeTrace::new();

@@ -21,6 +21,7 @@
 //!   is a tracked number.
 
 use crate::harness::{fmt_rate, Bench};
+use pels_obs::json::{self, Value};
 use pels_sim::Frequency;
 use pels_soc::{ExecMode, Mediator, Scenario, SocBuilder};
 use pels_cpu::asm;
@@ -252,115 +253,64 @@ pub fn render(rows: &[ThroughputRow]) -> String {
 /// same version and starts fresh on any other).
 pub const SCHEMA_VERSION: u64 = 3;
 
-/// Parses the flat JSON objects the `BENCH_*` artifacts use — one
-/// `"key": value` pair per entry, values numbers or strings, no nesting —
-/// into `(key, raw value text)` pairs in file order. `None` when `text`
-/// is not such an object (the caller then starts from scratch rather
-/// than guessing at a partial parse).
-fn parse_flat_object(text: &str) -> Option<Vec<(String, String)>> {
-    let mut rest = text.trim().strip_prefix('{')?.strip_suffix('}')?.trim();
-    let mut pairs = Vec::new();
-    while !rest.is_empty() {
-        rest = rest.strip_prefix('"')?;
-        let end = rest.find('"')?;
-        let key = rest[..end].to_string();
-        rest = rest[end + 1..].trim_start().strip_prefix(':')?.trim_start();
-        let value = if let Some(in_str) = rest.strip_prefix('"') {
-            let end = in_str.find('"')?;
-            rest = in_str[end + 1..].trim_start();
-            format!("\"{}\"", &in_str[..end])
-        } else {
-            let end = rest.find(',').unwrap_or(rest.len());
-            let v = rest[..end].trim();
-            if v.is_empty() {
-                return None;
-            }
-            let v = v.to_string();
-            rest = &rest[end..];
-            v
-        };
-        pairs.push((key, value));
-        match rest.strip_prefix(',') {
-            Some(r) => rest = r.trim_start(),
-            None if rest.is_empty() => {}
-            None => return None,
-        }
-    }
-    Some(pairs)
-}
-
 /// Serializes the rows (plus host metadata for a `samples`-sample run)
 /// into the `BENCH_sim_throughput.json` artifact, merging into
 /// `existing` (the file's previous contents, if any): keys this run
-/// doesn't produce are kept verbatim in place, keys it does are
-/// updated, new keys append. A run of a subset of workloads therefore
-/// never drops another run's fields; contents written under another
-/// [`SCHEMA_VERSION`] are discarded instead. Flat object, hand-rolled —
-/// no serde in the offline dependency graph.
+/// doesn't produce are kept in place, keys it does are updated, new
+/// keys append. A run of a subset of workloads therefore never drops
+/// another run's fields; contents written under another
+/// [`SCHEMA_VERSION`], or that are not a JSON object, are discarded
+/// instead.
 pub fn merge_json(rows: &[ThroughputRow], samples: usize, existing: Option<&str>) -> String {
-    let mut updates: Vec<(String, String)> = rows
+    let mut updates: Vec<(String, Value)> = rows
         .iter()
-        .map(|r| {
-            (
-                format!("{}_cycles_per_sec", r.name),
-                format!("{:.1}", r.cycles_per_sec),
-            )
-        })
+        .map(|r| (format!("{}_cycles_per_sec", r.name), r.cycles_per_sec.into()))
         .collect();
-    if let Some(x) = idle_speedup(rows) {
-        updates.push(("idle_speedup".into(), format!("{x:.2}")));
+    for (key, speedup) in [
+        ("idle_speedup", idle_speedup(rows)),
+        ("linking_speedup", speedup_of(rows, "linking_workload")),
+        ("irq_speedup", speedup_of(rows, "irq_baseline")),
+        ("linking_fused_speedup", fused_speedup(rows)),
+    ] {
+        updates.extend(speedup.map(|x| (key.to_owned(), x.into())));
     }
-    if let Some(x) = speedup_of(rows, "linking_workload") {
-        updates.push(("linking_speedup".into(), format!("{x:.2}")));
-    }
-    if let Some(x) = speedup_of(rows, "irq_baseline") {
-        updates.push(("irq_speedup".into(), format!("{x:.2}")));
-    }
-    if let Some(x) = fused_speedup(rows) {
-        updates.push(("linking_fused_speedup".into(), format!("{x:.2}")));
-    }
-    updates.push(("idle_cycles_per_iter".into(), IDLE_CYCLES.to_string()));
+    updates.push(("idle_cycles_per_iter".into(), IDLE_CYCLES.into()));
     // Host metadata: numbers in this artifact are only comparable on a
     // similar host, so record the parallelism the run had available and
     // how many timing samples backed each median.
     let parallelism = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    updates.push(("host_parallelism".into(), parallelism.to_string()));
-    updates.push(("bench_samples".into(), samples.to_string()));
-    updates.push(("schema_version".into(), SCHEMA_VERSION.to_string()));
+    updates.push(("host_parallelism".into(), parallelism.into()));
+    updates.push(("bench_samples".into(), samples.into()));
+    updates.push(("schema_version".into(), SCHEMA_VERSION.into()));
 
     // A file written under another schema may carry keys whose meaning
     // changed or that no row produces any more: start fresh.
-    let schema = SCHEMA_VERSION.to_string();
-    let mut merged = existing
-        .and_then(parse_flat_object)
-        .filter(|pairs| pairs.iter().all(|(k, v)| k != "schema_version" || *v == schema))
-        .unwrap_or_default();
+    let schema = Value::from(SCHEMA_VERSION);
+    let same_schema = |pairs: &[(String, Value)]| {
+        pairs.iter().all(|(k, v)| k != "schema_version" || *v == schema)
+    };
+    let mut merged = match existing.map(json::parse) {
+        Some(Ok(Value::Obj(pairs))) if same_schema(&pairs) => pairs,
+        _ => Vec::new(),
+    };
     for (key, value) in updates {
         match merged.iter_mut().find(|(k, _)| *k == key) {
             Some(slot) => slot.1 = value,
             None => merged.push((key, value)),
         }
     }
-
-    let mut s = String::from("{\n");
-    for (i, (key, value)) in merged.iter().enumerate() {
-        let sep = if i + 1 < merged.len() { "," } else { "" };
-        s.push_str(&format!("  \"{key}\": {value}{sep}\n"));
-    }
-    s.push_str("}\n");
-    s
-}
-
-/// [`merge_json`] with no prior contents — fresh serialization.
-pub fn to_json(rows: &[ThroughputRow], samples: usize) -> String {
-    merge_json(rows, samples, None)
+    json::to_string(&Value::Obj(merged))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn num(j: &Value, key: &str) -> Option<f64> {
+        j.get(key).and_then(Value::as_f64)
+    }
 
     #[test]
     fn json_is_well_formed() {
@@ -376,14 +326,14 @@ mod tests {
                 cycles_per_sec: 5e5,
             },
         ];
-        let j = to_json(&rows, 10);
-        assert!(j.starts_with('{') && j.ends_with("}\n"));
-        assert!(j.contains("\"bench_samples\": 10"));
-        assert!(j.contains("\"host_parallelism\": "));
-        assert!(j.contains("\"idle_soc_cycles_per_sec\": 2000000.0"));
-        assert!(j.contains("\"idle_speedup\": 4.00"));
-        // No trailing comma before the closing brace.
-        assert!(!j.contains(",\n}"));
+        let text = merge_json(&rows, 10, None);
+        let j = json::parse(&text).expect("well-formed JSON");
+        assert_eq!(num(&j, "bench_samples"), Some(10.0));
+        assert!(num(&j, "host_parallelism").is_some_and(|n| n >= 1.0));
+        assert_eq!(num(&j, "idle_soc_cycles_per_sec"), Some(2e6));
+        assert_eq!(num(&j, "idle_speedup"), Some(4.0));
+        // One key per line: the smoke script extracts values with sed.
+        assert!(text.contains("\n  \"idle_soc_cycles_per_sec\": 2000000,\n"));
     }
 
     #[test]
@@ -400,16 +350,17 @@ mod tests {
             cycles: 10,
             cycles_per_sec: 2e6,
         }];
-        let j = merge_json(&rows, 10, Some(existing));
-        // Foreign keys survive verbatim, own keys are updated in place.
-        assert!(j.contains("\"someone_elses_metric\": 123.4"));
-        assert!(j.contains("\"a_string\": \"with, comma\""));
-        assert!(j.contains("\"idle_soc_cycles_per_sec\": 2000000.0"));
-        assert!(!j.contains("\"idle_soc_cycles_per_sec\": 1.0"));
-        assert!(j.contains(&format!("\"schema_version\": {SCHEMA_VERSION}")));
-        assert!(!j.contains(",\n}"));
-        // The output round-trips through its own parser.
-        assert!(parse_flat_object(&j).is_some());
+        let j = json::parse(&merge_json(&rows, 10, Some(existing))).unwrap();
+        // Foreign keys survive, own keys are updated in place.
+        let keys: Vec<&str> = j.as_object().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys[..3],
+            ["someone_elses_metric", "idle_soc_cycles_per_sec", "a_string"]
+        );
+        assert_eq!(num(&j, "someone_elses_metric"), Some(123.4));
+        assert_eq!(j.get("a_string").and_then(Value::as_str), Some("with, comma"));
+        assert_eq!(num(&j, "idle_soc_cycles_per_sec"), Some(2e6));
+        assert_eq!(num(&j, "schema_version"), Some(SCHEMA_VERSION as f64));
     }
 
     #[test]
@@ -419,10 +370,9 @@ mod tests {
             cycles: 10,
             cycles_per_sec: 2e6,
         }];
-        for garbage in ["not json", "{ broken", "{\"k\": }"] {
-            let j = merge_json(&rows, 10, Some(garbage));
-            assert!(j.contains("\"idle_soc_cycles_per_sec\": 2000000.0"));
-            assert!(j.ends_with("}\n"));
+        for garbage in ["not json", "{ broken", "{\"k\": }", "[1, 2]"] {
+            let j = json::parse(&merge_json(&rows, 10, Some(garbage))).unwrap();
+            assert_eq!(num(&j, "idle_soc_cycles_per_sec"), Some(2e6));
         }
     }
 
@@ -434,9 +384,9 @@ mod tests {
             cycles: 10,
             cycles_per_sec: 2e6,
         }];
-        let j = merge_json(&rows, 10, Some(existing));
-        assert!(!j.contains("linking_superblock_speedup"));
-        assert!(j.contains(&format!("\"schema_version\": {SCHEMA_VERSION}")));
+        let j = json::parse(&merge_json(&rows, 10, Some(existing))).unwrap();
+        assert!(j.get("linking_superblock_speedup").is_none());
+        assert_eq!(num(&j, "schema_version"), Some(SCHEMA_VERSION as f64));
     }
 
     #[test]
@@ -454,8 +404,8 @@ mod tests {
             },
         ];
         assert_eq!(fused_speedup(&rows), Some(6.0));
-        let j = to_json(&rows, 10);
-        assert!(j.contains("\"linking_fused_speedup\": 6.00"));
+        let j = json::parse(&merge_json(&rows, 10, None)).unwrap();
+        assert_eq!(num(&j, "linking_fused_speedup"), Some(6.0));
         // The fused row pairs with single-step, never with a `_naive` row.
         assert!(speedup_of(&rows, "linking_fused").is_none());
     }

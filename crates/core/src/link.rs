@@ -61,11 +61,6 @@ impl Link {
         &self.trigger
     }
 
-    /// Mutable trigger unit.
-    pub fn trigger_mut(&mut self) -> &mut TriggerUnit {
-        &mut self.trigger
-    }
-
     /// The execution unit (status inspection).
     pub fn exec(&self) -> &ExecutionUnit {
         &self.exec

@@ -72,16 +72,6 @@ impl RegFile {
         self.writes += writes;
     }
 
-    /// Port reads since construction.
-    pub fn port_reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Port writes since construction.
-    pub fn port_writes(&self) -> u64 {
-        self.writes
-    }
-
     /// Takes and clears both port counters.
     pub fn take_port_counts(&mut self) -> (u64, u64) {
         let out = (self.reads, self.writes);

@@ -14,8 +14,8 @@ use crate::scenario::ScenarioDesc;
 use crate::system::{PelsDesc, PeriphInst, PeriphKind, SystemDesc};
 use pels_interconnect::{ArbiterKind, Topology};
 use pels_obs::json::{self, Value};
+use pels_obs::json_object;
 use pels_sim::{Frequency, SimTime};
-use std::fmt::Write as _;
 
 /// The description schema version this crate reads and writes.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -386,95 +386,60 @@ fn dec_scenario(v: &Value, path: &str) -> Result<ScenarioDesc, DescError> {
 // Encode
 // ---------------------------------------------------------------------
 
-/// Shortest `f64` form that parses back to the identical value (Rust's
-/// `Display` guarantees the round-trip).
-fn fmt_f64(v: f64) -> String {
-    format!("{v}")
-}
-
-fn write_sensor(out: &mut String, sensor: SensorKind) {
+fn sensor_value(sensor: SensorKind) -> Value {
     match sensor {
-        SensorKind::Constant(level) => {
-            let _ = write!(out, "{{ \"kind\": \"constant\", \"level\": {} }}", fmt_f64(level));
-        }
-        SensorKind::Ramp { start, slope_per_us } => {
-            let _ = write!(
-                out,
-                "{{ \"kind\": \"ramp\", \"start\": {}, \"slope_per_us\": {} }}",
-                fmt_f64(start),
-                fmt_f64(slope_per_us)
-            );
-        }
+        SensorKind::Constant(level) => json_object! { "kind" => "constant", "level" => level },
+        SensorKind::Ramp { start, slope_per_us } => json_object! {
+            "kind" => "ramp", "start" => start, "slope_per_us" => slope_per_us,
+        },
         SensorKind::NoisyRamp {
             start,
             slope_per_us,
             sigma,
             seed,
-        } => {
-            let _ = write!(
-                out,
-                "{{ \"kind\": \"noisy-ramp\", \"start\": {}, \"slope_per_us\": {}, \
-                 \"sigma\": {}, \"seed\": {seed} }}",
-                fmt_f64(start),
-                fmt_f64(slope_per_us),
-                fmt_f64(sigma)
-            );
-        }
+        } => json_object! {
+            "kind" => "noisy-ramp", "start" => start, "slope_per_us" => slope_per_us,
+            "sigma" => sigma, "seed" => seed,
+        },
         SensorKind::Sine {
             offset,
             amplitude,
             freq_hz,
-        } => {
-            let _ = write!(
-                out,
-                "{{ \"kind\": \"sine\", \"offset\": {}, \"amplitude\": {}, \"freq_hz\": {} }}",
-                fmt_f64(offset),
-                fmt_f64(amplitude),
-                fmt_f64(freq_hz)
-            );
-        }
+        } => json_object! {
+            "kind" => "sine", "offset" => offset, "amplitude" => amplitude, "freq_hz" => freq_hz,
+        },
     }
 }
 
-fn write_periph(out: &mut String, p: &PeriphInst) {
-    let _ = write!(out, "{{ \"kind\": \"{}\", \"offset\": {}", p.kind.name(), p.offset);
+fn periph_value(p: &PeriphInst) -> Value {
+    let mut pairs = vec![("kind", p.kind.name().into()), ("offset", p.offset.into())];
     match p.kind {
-        PeriphKind::Spi { clkdiv } => {
-            let _ = write!(out, ", \"clkdiv\": {clkdiv}");
-        }
+        PeriphKind::Spi { clkdiv } => pairs.push(("clkdiv", clkdiv.into())),
         PeriphKind::Adc { conversion_cycles } => {
-            let _ = write!(out, ", \"conversion_cycles\": {conversion_cycles}");
+            pairs.push(("conversion_cycles", conversion_cycles.into()));
         }
         _ => {}
     }
-    out.push_str(" }");
+    Value::object(pairs)
 }
 
-fn write_system(out: &mut String, d: &SystemDesc, pad: &str, root: bool) {
-    let _ = writeln!(out, "{{");
-    if root {
-        let _ = writeln!(out, "{pad}  \"schema_version\": {SCHEMA_VERSION},");
-    }
-    let _ = writeln!(out, "{pad}  \"freq_period_ps\": {},", d.freq.period_ps());
-    let _ = writeln!(
-        out,
-        "{pad}  \"pels\": {{ \"links\": {}, \"scm_lines\": {}, \"fifo_depth\": {} }},",
-        d.pels.links, d.pels.scm_lines, d.pels.fifo_depth
-    );
-    let _ = write!(out, "{pad}  \"sensor\": ");
-    write_sensor(out, d.sensor);
-    let _ = writeln!(out, ",");
-    let _ = writeln!(out, "{pad}  \"topology\": \"{}\",", d.topology);
-    let _ = writeln!(out, "{pad}  \"arbiter\": \"{}\",", d.arbiter);
-    let _ = writeln!(out, "{pad}  \"timer_starts_spi\": {},", d.timer_starts_spi);
-    let _ = writeln!(out, "{pad}  \"peripherals\": [");
-    for (i, p) in d.peripherals.iter().enumerate() {
-        let _ = write!(out, "{pad}    ");
-        write_periph(out, p);
-        let _ = writeln!(out, "{}", if i + 1 < d.peripherals.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "{pad}  ]");
-    let _ = write!(out, "{pad}}}");
+/// A system description's object; only a root document carries the
+/// schema version.
+fn system_value(d: &SystemDesc, root: bool) -> Value {
+    let version = root.then(|| ("schema_version", SCHEMA_VERSION.into()));
+    let pels = json_object! {
+        "links" => d.pels.links, "scm_lines" => d.pels.scm_lines, "fifo_depth" => d.pels.fifo_depth,
+    };
+    let fields = [
+        ("freq_period_ps", d.freq.period_ps().into()),
+        ("pels", pels),
+        ("sensor", sensor_value(d.sensor)),
+        ("topology", d.topology.to_string().into()),
+        ("arbiter", d.arbiter.to_string().into()),
+        ("timer_starts_spi", d.timer_starts_spi.into()),
+        ("peripherals", Value::Arr(d.peripherals.iter().map(periph_value).collect())),
+    ];
+    Value::object(version.into_iter().chain(fields))
 }
 
 impl SystemDesc {
@@ -482,10 +447,7 @@ impl SystemDesc {
     /// integer picoseconds). [`SystemDesc::from_json`] of the result is
     /// identical to `self` for every valid description.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        write_system(&mut s, self, "", true);
-        s.push('\n');
-        s
+        json::to_string(&system_value(self, true))
     }
 
     /// Parses, decodes and validates a description document.
@@ -510,24 +472,22 @@ impl ScenarioDesc {
     /// [`ScenarioDesc::from_json`] of the result is identical to `self`
     /// for every valid description.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        let _ = writeln!(s, "  \"schema_version\": {SCHEMA_VERSION},");
-        let _ = writeln!(s, "  \"mediator\": \"{}\",", self.mediator);
-        let _ = writeln!(s, "  \"threshold_level\": {},", fmt_f64(self.threshold_level));
-        let _ = writeln!(s, "  \"sample_period_ps\": {},", self.sample_period.as_ps());
-        let _ = writeln!(s, "  \"spi_words\": {},", self.spi_words);
-        let _ = writeln!(s, "  \"events\": {},", self.events);
-        let _ = writeln!(s, "  \"rmw_only\": {},", self.rmw_only);
-        let _ = writeln!(s, "  \"use_udma\": {},", self.use_udma);
-        let _ = writeln!(s, "  \"exec\": \"{}\",", self.exec);
-        let _ = writeln!(s, "  \"obs\": {},", self.obs);
-        let _ = writeln!(s, "  \"timeline_window\": {},", self.timeline_window);
-        let _ = writeln!(s, "  \"flows\": {},", self.flows);
-        let _ = writeln!(s, "  \"lifetime\": {},", self.lifetime);
-        s.push_str("  \"system\": ");
-        write_system(&mut s, &self.system, "  ", false);
-        s.push_str("\n}\n");
-        s
+        json::to_string(&json_object! {
+            "schema_version" => SCHEMA_VERSION,
+            "mediator" => self.mediator.to_string(),
+            "threshold_level" => self.threshold_level,
+            "sample_period_ps" => self.sample_period.as_ps(),
+            "spi_words" => self.spi_words,
+            "events" => self.events,
+            "rmw_only" => self.rmw_only,
+            "use_udma" => self.use_udma,
+            "exec" => self.exec.to_string(),
+            "obs" => self.obs,
+            "timeline_window" => self.timeline_window,
+            "flows" => self.flows,
+            "lifetime" => self.lifetime,
+            "system" => system_value(&self.system, false),
+        })
     }
 
     /// Parses, decodes and validates a scenario description document.
@@ -584,6 +544,18 @@ mod tests {
         let e = SystemDesc::from_json("{ not json").unwrap_err();
         assert_eq!(e.path, "");
         assert!(e.message.contains("malformed JSON"), "{e}");
+    }
+
+    #[test]
+    fn deep_nesting_is_a_root_error_not_a_stack_overflow() {
+        let e = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| ScenarioDesc::from_json(&"[".repeat(100_000)).unwrap_err())
+            .unwrap()
+            .join()
+            .expect("decoder must not overflow the stack");
+        assert_eq!(e.path, "");
+        assert!(e.message.contains("nesting too deep"), "{e}");
     }
 
     #[test]

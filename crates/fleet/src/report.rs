@@ -1,6 +1,8 @@
 //! Fleet results: per-job outcomes, input-order-stable reports, and the
 //! digest that proves scheduling never leaks into the data.
 
+use pels_obs::json::Value;
+use pels_obs::json_object;
 use pels_soc::{Mediator, Scenario, ScenarioError, ScenarioReport};
 use std::fmt;
 use std::time::Duration;
@@ -390,44 +392,26 @@ impl Fnv {
     }
 }
 
-/// Serializes the batch as the `BENCH_fleet_throughput.json` artifact
-/// (flat object, no serde in the offline graph).
+/// Serializes the batch as the `BENCH_fleet_throughput.json` artifact.
 pub fn to_json(report: &FleetReport, host_parallelism: usize) -> String {
-    let failed = report.failed().count();
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"jobs\": {},\n", report.jobs.len()));
-    s.push_str(&format!("  \"failed\": {failed},\n"));
-    s.push_str(&format!("  \"workers\": {},\n", report.workers));
-    s.push_str(&format!("  \"host_parallelism\": {host_parallelism},\n"));
-    s.push_str(&format!(
-        "  \"wall_ms\": {:.3},\n",
-        report.wall.as_secs_f64() * 1e3
-    ));
-    s.push_str(&format!(
-        "  \"busy_ms\": {:.3},\n",
-        report.busy().as_secs_f64() * 1e3
-    ));
-    s.push_str(&format!("  \"speedup\": {:.3},\n", report.speedup()));
-    s.push_str(&format!(
-        "  \"jobs_per_sec\": {:.3},\n",
-        report.jobs.len() as f64 / report.wall.as_secs_f64().max(1e-9)
-    ));
-    s.push_str("  \"worker_stats\": [");
-    for (i, w) in report.worker_stats().iter().enumerate() {
-        let sep = if i + 1 < report.workers { "," } else { "" };
-        s.push_str(&format!(
-            "\n    {{\"worker\": {}, \"jobs\": {}, \"steals\": {}, \"busy_ms\": {:.3}}}{sep}",
-            w.worker,
-            w.jobs,
-            w.steals,
-            w.busy.as_secs_f64() * 1e3
-        ));
-    }
-    s.push_str("\n  ],\n");
-    s.push_str(&format!("  \"digest\": \"{:016x}\"\n", report.digest()));
-    s.push('}');
-    s.push('\n');
-    s
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    let workers = report.worker_stats().into_iter().map(|w| {
+        json_object! {
+            "worker" => w.worker, "jobs" => w.jobs, "steals" => w.steals, "busy_ms" => ms(w.busy),
+        }
+    });
+    pels_obs::json::to_string(&json_object! {
+        "jobs" => report.jobs.len(),
+        "failed" => report.failed().count(),
+        "workers" => report.workers,
+        "host_parallelism" => host_parallelism,
+        "wall_ms" => ms(report.wall),
+        "busy_ms" => ms(report.busy()),
+        "speedup" => report.speedup(),
+        "jobs_per_sec" => report.jobs.len() as f64 / report.wall.as_secs_f64().max(1e-9),
+        "worker_stats" => Value::Arr(workers.collect()),
+        "digest" => format!("{:016x}", report.digest()),
+    })
 }
 
 #[cfg(test)]
@@ -494,15 +478,17 @@ mod tests {
 
     #[test]
     fn json_is_well_formed() {
-        let j = to_json(&tiny_report(), 4);
-        assert!(j.starts_with('{') && j.ends_with("}\n"));
-        assert!(j.contains("\"jobs\": 2"));
-        assert!(j.contains("\"failed\": 1"));
-        assert!(j.contains("\"host_parallelism\": 4"));
-        assert!(j.contains("\"worker_stats\": ["));
-        assert!(j.contains("\"digest\": \""));
-        assert!(!j.contains(",\n}"));
-        pels_obs::json::parse(&j).expect("fleet JSON parses");
+        let r = tiny_report();
+        let j = pels_obs::json::parse(&to_json(&r, 4)).expect("fleet JSON parses");
+        let num = |key: &str| j.get(key).and_then(Value::as_u64);
+        assert_eq!(num("jobs"), Some(2));
+        assert_eq!(num("failed"), Some(1));
+        assert_eq!(num("host_parallelism"), Some(4));
+        let workers = j.get("worker_stats").and_then(Value::as_array).unwrap();
+        assert_eq!(workers.len(), r.workers);
+        assert_eq!(workers[0].get("steals").and_then(Value::as_u64), Some(1));
+        let digest = format!("{:016x}", r.digest());
+        assert_eq!(j.get("digest").and_then(Value::as_str), Some(digest.as_str()));
     }
 
     #[test]

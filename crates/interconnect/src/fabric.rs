@@ -260,16 +260,6 @@ impl<S: ApbSlave> ApbFabric<S> {
         self.slaves.len()
     }
 
-    /// Number of registered master ports.
-    pub fn master_count(&self) -> usize {
-        self.masters.len()
-    }
-
-    /// Name given to a master port.
-    pub fn master_name(&self, id: MasterId) -> &str {
-        self.masters[id.0].id.name()
-    }
-
     /// Whether `master` can accept a new request this cycle.
     pub fn can_issue(&self, master: MasterId) -> bool {
         let port = &self.masters[master.0];

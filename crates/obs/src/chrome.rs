@@ -13,6 +13,7 @@
 //! emitted (`{"traceEvents": [...]}`), which both viewers accept.
 
 use crate::json::{self, Value};
+use crate::json_object;
 use crate::profile::SpanEvent;
 use pels_sim::{ComponentId, FlowHop, FlowTrace, Trace};
 use std::collections::HashMap;
@@ -37,7 +38,7 @@ pub const HOST_PID: u64 = 2;
 /// ```
 #[derive(Debug, Default)]
 pub struct ChromeTrace {
-    events: Vec<String>,
+    events: Vec<Value>,
     sim_tids: HashMap<ComponentId, u64>,
     named_threads: Vec<(u64, u64)>,
     flow_id_base: u64,
@@ -52,12 +53,15 @@ impl ChromeTrace {
         ct
     }
 
+    fn metadata(&mut self, kind: &str, pid: u64, tid: u64, name: &str) {
+        self.events.push(json_object! {
+            "ph" => "M", "name" => kind, "pid" => pid, "tid" => tid,
+            "args" => json_object! { "name" => name },
+        });
+    }
+
     fn name_process(&mut self, pid: u64, name: &str) {
-        self.events.push(format!(
-            "{{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": {pid}, \"tid\": 0, \
-             \"args\": {{\"name\": \"{}\"}}}}",
-            json::escape(name)
-        ));
+        self.metadata("process_name", pid, 0, name);
     }
 
     fn name_thread(&mut self, pid: u64, tid: u64, name: &str) {
@@ -65,11 +69,7 @@ impl ChromeTrace {
             return;
         }
         self.named_threads.push((pid, tid));
-        self.events.push(format!(
-            "{{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": {pid}, \"tid\": {tid}, \
-             \"args\": {{\"name\": \"{}\"}}}}",
-            json::escape(name)
-        ));
+        self.metadata("thread_name", pid, tid, name);
     }
 
     /// Adds every entry of a simulated-time trace as instant events, one
@@ -79,14 +79,11 @@ impl ChromeTrace {
             let next = self.sim_tids.len() as u64 + 1;
             let tid = *self.sim_tids.entry(e.source).or_insert(next);
             self.name_thread(SIM_PID, tid, e.source.name());
-            self.events.push(format!(
-                "{{\"ph\": \"i\", \"name\": \"{}.{}\", \"cat\": \"sim\", \"s\": \"t\", \
-                 \"ts\": {}, \"pid\": {SIM_PID}, \"tid\": {tid}, \"args\": {{\"value\": {}}}}}",
-                json::escape(e.source.name()),
-                json::escape(e.label),
-                e.time.as_ps() as f64 / 1e6,
-                e.value,
-            ));
+            self.events.push(json_object! {
+                "ph" => "i", "name" => format!("{}.{}", e.source.name(), e.label),
+                "cat" => "sim", "s" => "t", "ts" => e.time.as_ps() as f64 / 1e6,
+                "pid" => SIM_PID, "tid" => tid, "args" => json_object! { "value" => e.value },
+            });
         }
     }
 
@@ -98,21 +95,18 @@ impl ChromeTrace {
     /// activity over simulated time next to the instant-event tracks.
     ///
     /// Series values must be finite (NaN/infinity have no JSON
-    /// representation); entries are emitted in the order given.
+    /// representation and would serialize as `null`); entries are
+    /// emitted in the order given.
     pub fn add_counter(&mut self, name: &str, ts_us: f64, series: &[(&str, f64)]) {
-        let mut args = String::new();
-        for (i, (key, value)) in series.iter().enumerate() {
-            debug_assert!(value.is_finite(), "counter series must be finite");
-            if i > 0 {
-                args.push_str(", ");
-            }
-            args.push_str(&format!("\"{}\": {}", json::escape(key), value));
-        }
-        self.events.push(format!(
-            "{{\"ph\": \"C\", \"name\": \"{}\", \"cat\": \"sim\", \"ts\": {ts_us}, \
-             \"pid\": {SIM_PID}, \"tid\": 0, \"args\": {{{args}}}}}",
-            json::escape(name),
-        ));
+        debug_assert!(
+            series.iter().all(|(_, v)| v.is_finite()),
+            "counter series must be finite"
+        );
+        let args = Value::object(series.iter().map(|&(key, value)| (key, value.into())));
+        self.events.push(json_object! {
+            "ph" => "C", "name" => name, "cat" => "sim", "ts" => ts_us,
+            "pid" => SIM_PID, "tid" => 0u64, "args" => args,
+        });
     }
 
     /// Adds every causal flow as a Perfetto flow-arrow chain: each hop
@@ -141,12 +135,10 @@ impl ChromeTrace {
                 let ts = h.time.as_ps() as f64 / 1e6;
                 // Anchor slice the flow event binds to (flow arrows
                 // attach to slices, not instants).
-                self.events.push(format!(
-                    "{{\"ph\": \"X\", \"name\": \"{}.{}\", \"cat\": \"flow\", \
-                     \"ts\": {ts}, \"dur\": 0.001, \"pid\": {SIM_PID}, \"tid\": {tid}}}",
-                    json::escape(h.source.name()),
-                    json::escape(h.stage),
-                ));
+                self.events.push(json_object! {
+                    "ph" => "X", "name" => format!("{}.{}", h.source.name(), h.stage),
+                    "cat" => "flow", "ts" => ts, "dur" => 0.001, "pid" => SIM_PID, "tid" => tid,
+                });
                 let ph = if i == 0 {
                     "s"
                 } else if i + 1 == hops.len() {
@@ -154,12 +146,15 @@ impl ChromeTrace {
                 } else {
                     "t"
                 };
-                let bp = if ph == "f" { ", \"bp\": \"e\"" } else { "" };
-                self.events.push(format!(
-                    "{{\"ph\": \"{ph}\", \"name\": \"flow\", \"cat\": \"flow\", \
-                     \"id\": {}, \"ts\": {ts}, \"pid\": {SIM_PID}, \"tid\": {tid}{bp}}}",
-                    base + id.0,
-                ));
+                let mut event = vec![
+                    ("ph", ph.into()), ("name", "flow".into()), ("cat", "flow".into()),
+                    ("id", (base + id.0).into()), ("ts", ts.into()), ("pid", SIM_PID.into()),
+                    ("tid", tid.into()),
+                ];
+                if ph == "f" {
+                    event.push(("bp", "e".into()));
+                }
+                self.events.push(Value::object(event));
             }
         }
     }
@@ -169,39 +164,16 @@ impl ChromeTrace {
     pub fn add_host_spans(&mut self, spans: &[SpanEvent]) {
         for s in spans {
             self.name_thread(HOST_PID, s.thread, &format!("host thread {}", s.thread));
-            self.events.push(format!(
-                "{{\"ph\": \"X\", \"name\": \"{}\", \"cat\": \"host\", \
-                 \"ts\": {}, \"dur\": {}, \"pid\": {HOST_PID}, \"tid\": {}}}",
-                json::escape(&s.path),
-                s.start_us,
-                s.dur_us,
-                s.thread,
-            ));
+            self.events.push(json_object! {
+                "ph" => "X", "name" => s.path.as_str(), "cat" => "host", "ts" => s.start_us,
+                "dur" => s.dur_us, "pid" => HOST_PID, "tid" => s.thread,
+            });
         }
-    }
-
-    /// Number of events added so far (including metadata events).
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether only the builder preamble is present.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Renders the `{"traceEvents": [...]}` document.
     pub fn finish(self) -> String {
-        let mut out = String::from("{\"traceEvents\": [\n");
-        for (i, e) in self.events.iter().enumerate() {
-            let sep = if i + 1 < self.events.len() { "," } else { "" };
-            out.push_str("  ");
-            out.push_str(e);
-            out.push_str(sep);
-            out.push('\n');
-        }
-        out.push_str("]}\n");
-        out
+        json::to_string(&json_object! { "traceEvents" => self.events })
     }
 }
 
@@ -384,10 +356,17 @@ mod tests {
         }]);
         let doc = ct.finish();
         validate(&doc).expect("valid document");
-        assert!(doc.contains("\"ph\": \"X\""));
-        assert!(doc.contains("\"name\": \"outer/inner\""));
-        assert!(doc.contains("\"dur\": 2.5"));
-        assert!(doc.contains(&format!("\"pid\": {HOST_PID}")));
+        let v = json::parse(&doc).unwrap();
+        let span = v
+            .get("traceEvents")
+            .and_then(Value::as_array)
+            .unwrap()
+            .iter()
+            .find(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
+            .expect("complete event");
+        assert_eq!(span.get("name").and_then(Value::as_str), Some("outer/inner"));
+        assert_eq!(span.get("dur").and_then(Value::as_f64), Some(2.5));
+        assert_eq!(span.get("pid").and_then(Value::as_u64), Some(HOST_PID));
     }
 
     #[test]
@@ -489,36 +468,36 @@ mod tests {
 
     #[test]
     fn validate_gates_flow_events() {
-        let slice = "{\"ph\": \"X\", \"name\": \"a\", \"ts\": 1, \"dur\": 1, \"pid\": 1, \"tid\": 1}";
+        // Two slices on one track, then the flow events under test.
+        let doc = |flow_events: &[Value]| {
+            let slice = |name: &str, ts: u64| {
+                json_object! {
+                    "ph" => "X", "name" => name, "ts" => ts,
+                    "dur" => 1u64, "pid" => 1u64, "tid" => 1u64,
+                }
+            };
+            let mut events = vec![slice("a", 1), slice("b", 2)];
+            events.extend_from_slice(flow_events);
+            json::to_string(&json_object! { "traceEvents" => events })
+        };
+        let flow = |ph: &str, id: Option<u64>, ts: u64, tid: u64| {
+            let mut e = vec![("ph", ph.into()), ("name", "flow".into())];
+            if let Some(id) = id {
+                e.push(("id", id.into()));
+            }
+            e.extend([("ts", ts.into()), ("pid", 1u64.into()), ("tid", tid.into())]);
+            Value::object(e)
+        };
         // A started flow must finish.
-        assert!(validate(&format!(
-            "{{\"traceEvents\": [{slice}, {{\"ph\": \"s\", \"name\": \"flow\", \"id\": 7, \"ts\": 1, \"pid\": 1, \"tid\": 1}}]}}"
-        ))
-        .is_err());
+        assert!(validate(&doc(&[flow("s", Some(7), 1, 1)])).is_err());
         // A step without a start is rejected.
-        assert!(validate(&format!(
-            "{{\"traceEvents\": [{slice}, {{\"ph\": \"t\", \"name\": \"flow\", \"id\": 7, \"ts\": 1, \"pid\": 1, \"tid\": 1}}]}}"
-        ))
-        .is_err());
+        assert!(validate(&doc(&[flow("t", Some(7), 1, 1)])).is_err());
         // A flow event off any slice is rejected.
-        assert!(validate(
-            "{\"traceEvents\": [{\"ph\": \"s\", \"name\": \"flow\", \"id\": 7, \"ts\": 1, \"pid\": 1, \"tid\": 1}, \
-             {\"ph\": \"f\", \"name\": \"flow\", \"id\": 7, \"bp\": \"e\", \"ts\": 2, \"pid\": 1, \"tid\": 1}]}"
-        )
-        .is_err());
+        assert!(validate(&doc(&[flow("s", Some(7), 1, 9), flow("f", Some(7), 2, 9)])).is_err());
         // Matched, slice-bound start/end validates.
-        assert!(validate(&format!(
-            "{{\"traceEvents\": [{slice}, \
-             {{\"ph\": \"X\", \"name\": \"b\", \"ts\": 2, \"dur\": 1, \"pid\": 1, \"tid\": 1}}, \
-             {{\"ph\": \"s\", \"name\": \"flow\", \"id\": 7, \"ts\": 1, \"pid\": 1, \"tid\": 1}}, \
-             {{\"ph\": \"f\", \"name\": \"flow\", \"id\": 7, \"bp\": \"e\", \"ts\": 2, \"pid\": 1, \"tid\": 1}}]}}"
-        ))
-        .is_ok());
+        assert!(validate(&doc(&[flow("s", Some(7), 1, 1), flow("f", Some(7), 2, 1)])).is_ok());
         // A flow event without an id is rejected.
-        assert!(validate(&format!(
-            "{{\"traceEvents\": [{slice}, {{\"ph\": \"s\", \"name\": \"flow\", \"ts\": 1, \"pid\": 1, \"tid\": 1}}]}}"
-        ))
-        .is_err());
+        assert!(validate(&doc(&[flow("s", None, 1, 1)])).is_err());
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! by label, so fleet-side aggregation is order-invariant.
 
 use crate::hist::Histogram;
+use crate::json::Value;
+use crate::json_object;
 use pels_sim::{FlowHop, FlowTrace};
 use std::collections::BTreeMap;
 
@@ -194,43 +196,32 @@ impl FlowReport {
         out
     }
 
-    /// Serializes the report as one JSON object (the per-mediator halves
-    /// of `OBS_flows.json`).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::from("{\n");
-        let _ = writeln!(s, "    \"flows\": {},", self.flows);
-        let _ = writeln!(s, "    \"origin\": \"{}\",", crate::json::escape(&self.origin));
-        let _ = writeln!(
-            s,
-            "    \"terminal\": \"{}\",",
-            crate::json::escape(&self.terminal)
-        );
-        let _ = writeln!(
-            s,
-            "    \"end_to_end\": {{\"count\": {}, \"sum\": {}, \"mean\": {}, \"p50\": {}, \"p99\": {}}},",
-            self.end_to_end.count(),
-            self.end_to_end.sum(),
-            self.end_to_end.mean().unwrap_or(0.0),
-            self.end_to_end.p50().unwrap_or(0),
-            self.end_to_end.p99().unwrap_or(0),
-        );
-        s.push_str("    \"stages\": {");
-        for (i, (label, row)) in self.stages.iter().enumerate() {
-            let sep = if i + 1 < self.stages.len() { "," } else { "" };
-            let _ = write!(
-                s,
-                "\n      \"{}\": {{\"count\": {}, \"total_cycles\": {}, \"mean\": {}, \"p50\": {}, \"p99\": {}}}{sep}",
-                crate::json::escape(label),
-                row.count,
-                row.total_cycles,
-                row.hist.mean().unwrap_or(0.0),
-                row.hist.p50().unwrap_or(0),
-                row.hist.p99().unwrap_or(0),
-            );
+    /// The report as one JSON object (the per-mediator sections of
+    /// `OBS_flows.json`).
+    pub fn to_value(&self) -> Value {
+        let summary = |h: &Histogram| {
+            (h.mean().unwrap_or(0.0), h.p50().unwrap_or(0), h.p99().unwrap_or(0))
+        };
+        let stages = self.stages.iter().map(|(label, row)| {
+            let (mean, p50, p99) = summary(&row.hist);
+            let v = json_object! {
+                "count" => row.count, "total_cycles" => row.total_cycles,
+                "mean" => mean, "p50" => p50, "p99" => p99,
+            };
+            (label.as_str(), v)
+        });
+        let e2e = &self.end_to_end;
+        let (mean, p50, p99) = summary(e2e);
+        json_object! {
+            "flows" => self.flows,
+            "origin" => self.origin.as_str(),
+            "terminal" => self.terminal.as_str(),
+            "end_to_end" => json_object! {
+                "count" => e2e.count(), "sum" => e2e.sum(),
+                "mean" => mean, "p50" => p50, "p99" => p99,
+            },
+            "stages" => Value::object(stages),
         }
-        s.push_str("\n    }\n  }");
-        s
     }
 }
 
@@ -315,9 +306,8 @@ mod tests {
         assert!(table.contains("flow blame (eot -> padout), 2 flows"));
         assert!(table.contains("flowrep-test-gpio.padout"));
         assert!(table.contains("end-to-end"));
-        let json = r.to_json();
-        let v = crate::json::parse(&json).expect("well-formed JSON");
-        assert_eq!(v.get("flows").and_then(crate::json::Value::as_u64), Some(2));
+        let v = r.to_value();
+        assert_eq!(v.get("flows").and_then(Value::as_u64), Some(2));
         let stages = v.get("stages").unwrap();
         assert!(stages.get("flowrep-test-link.trigger").is_some());
     }

@@ -32,9 +32,11 @@
 //!   ≤ 1/16 relative-error bound) plus the [`hist::sparkline`] render —
 //!   the distribution layer behind per-scenario latency histograms and
 //!   the fleet's deterministic cross-job merge.
-//! * [`json`] — the tiny hand-rolled JSON writer/parser the exporters
-//!   and the `obs_check` schema gate share (no serde in the offline
-//!   dependency graph).
+//! * [`json`] — the workspace's one JSON writer and parser: every
+//!   artifact, report and description is a [`json::Value`] tree
+//!   serialized by [`json::to_string`] under one layout rule, and the
+//!   `obs_check` schema gate reads it back with [`json::parse`] (no
+//!   serde in the offline dependency graph).
 //!
 //! ## Example
 //!
@@ -46,7 +48,8 @@
 //! reg.add(hits, 1);
 //! let snap = reg.snapshot();
 //! assert_eq!(snap.get("cpu.decode_cache.hits"), Some(42));
-//! assert!(snap.to_json().contains("\"cpu.decode_cache.hits\": 42"));
+//! let doc = pels_obs::json::to_string(&snap.to_value());
+//! assert!(doc.contains("\"cpu.decode_cache.hits\": 42"));
 //! ```
 
 #![forbid(unsafe_code)]

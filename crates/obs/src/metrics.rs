@@ -229,16 +229,10 @@ impl MetricsSnapshot {
         self.entries.is_empty()
     }
 
-    /// Serializes as a flat JSON object (one `"name": value` pair per
-    /// metric, sorted by name).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        for (i, (name, v)) in self.entries.iter().enumerate() {
-            let sep = if i + 1 < self.entries.len() { "," } else { "" };
-            s.push_str(&format!("  \"{}\": {v}{sep}\n", crate::json::escape(name)));
-        }
-        s.push_str("}\n");
-        s
+    /// The snapshot as a flat JSON object: one `"name": value` pair per
+    /// metric, sorted by name.
+    pub fn to_value(&self) -> crate::json::Value {
+        crate::json::Value::object(self.iter().map(|(name, v)| (name, v.into())))
     }
 }
 
@@ -325,13 +319,13 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         reg.add_named("obs-test-json.b", 2);
         reg.add_named("obs-test-json.a", 1);
-        let j = reg.snapshot().to_json();
-        assert!(j.starts_with("{\n") && j.ends_with("}\n"));
-        let a = j.find("obs-test-json.a").unwrap();
-        let b = j.find("obs-test-json.b").unwrap();
+        let v = reg.snapshot().to_value();
+        let keys: Vec<&str> = v.as_object().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        let a = keys.iter().position(|&k| k == "obs-test-json.a").unwrap();
+        let b = keys.iter().position(|&k| k == "obs-test-json.b").unwrap();
         assert!(a < b, "entries sorted by name");
-        assert!(!j.contains(",\n}"));
-        // Round-trips through the crate's own parser.
-        assert!(crate::json::parse(&j).is_ok());
+        let doc = crate::json::to_string(&v);
+        assert!(doc.contains("\n  \"obs-test-json.a\": 1,\n"), "one pair per line:\n{doc}");
+        assert_eq!(crate::json::parse(&doc), Ok(v));
     }
 }

@@ -61,11 +61,6 @@ impl Scheduler {
         &self.clocks[id.0]
     }
 
-    /// Number of registered clocks.
-    pub fn clock_count(&self) -> usize {
-        self.clocks.len()
-    }
-
     /// Current simulation time: the time of the most recently delivered
     /// edge, or zero before the first call to [`Scheduler::advance`].
     pub fn time(&self) -> SimTime {

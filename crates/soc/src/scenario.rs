@@ -27,6 +27,8 @@ use pels_periph::{Spi, Timer};
 use pels_power::{
     Battery, EnergyLedger, LifetimeReport, PowerModel, PowerReport, PowerSample, PowerTimeline,
 };
+use pels_obs::json::Value;
+use pels_obs::json_object;
 use pels_sim::{ActivitySet, EventVector, Frequency, SimTime, Trace};
 use std::fmt;
 use std::ops::Deref;
@@ -890,82 +892,69 @@ impl ScenarioReport {
     /// Covers the headline measurements (latency statistics, window
     /// durations, events completed) plus the fast-path counters; when
     /// the scenario ran with [`ScenarioBuilder::obs`] the full metrics
-    /// snapshot is inlined under `"metrics"`, otherwise that field is
+    /// snapshot is inlined under `"metrics"`, and with
+    /// [`ScenarioBuilder::lifetime`] the energy ledger and battery
+    /// projection under `"energy"` / `"lifetime"`. Absent sections are
     /// `null`.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::from("{\n");
-        let _ = writeln!(
-            s,
-            "  \"mediator\": \"{}\",",
-            pels_obs::json::escape(&self.mediator.to_string())
-        );
-        let _ = writeln!(s, "  \"freq_mhz\": {},", self.freq.as_mhz());
-        let _ = writeln!(s, "  \"events_completed\": {},", self.events_completed);
-        let _ = writeln!(
-            s,
-            "  \"latency_cycles\": {{\"count\": {}, \"min\": {}, \"max\": {}, \
-             \"mean\": {}, \"p50\": {}, \"p99\": {}, \"jitter\": {}}},",
-            self.stats.count,
-            self.stats.min,
-            self.stats.max,
-            self.stats.mean,
-            self.stats.p50,
-            self.stats.p99,
-            self.stats.jitter()
-        );
-        let _ = writeln!(s, "  \"active_window_ns\": {},", self.active_window.as_ns());
-        let _ = writeln!(s, "  \"idle_window_ns\": {},", self.idle_window.as_ns());
-        let sc = &self.sched_stats;
-        let _ = writeln!(
-            s,
-            "  \"sched\": {{\"fast_cycles\": {}, \"stirred_cycles\": {}, \
-             \"naive_cycles\": {}, \"skip_spans\": {}, \"skipped_cycles\": {}, \
-             \"rebuilds\": {}, \"wakes\": {}, \"sleeps\": {}}},",
-            sc.fast_cycles,
-            sc.stirred_cycles,
-            sc.naive_cycles,
-            sc.skip_spans,
-            sc.skipped_cycles,
-            sc.rebuilds,
-            sc.wakes,
-            sc.sleeps
-        );
-        let _ = writeln!(
-            s,
-            "  \"decode_cache\": {{\"hits\": {}, \"misses\": {}}},",
-            self.decode_cache_hits, self.decode_cache_misses
-        );
-        let _ = writeln!(s, "  \"trace_events\": {},", self.trace.len());
-        match &self.energy {
-            Some(ledger) => {
-                let _ = writeln!(s, "  \"energy\": {},", ledger.to_json());
-            }
-            None => s.push_str("  \"energy\": null,\n"),
-        }
-        match &self.lifetime {
-            Some(projection) => {
-                let _ = writeln!(s, "  \"lifetime\": {},", projection.to_json());
-            }
-            None => s.push_str("  \"lifetime\": null,\n"),
-        }
-        match &self.metrics {
-            Some(snap) => {
-                s.push_str("  \"metrics\": {");
-                for (i, (name, v)) in snap.iter().enumerate() {
-                    let sep = if i + 1 < snap.len() { "," } else { "" };
-                    let _ = write!(
-                        s,
-                        "\n    \"{}\": {v}{sep}",
-                        pels_obs::json::escape(name)
-                    );
-                }
-                s.push_str("\n  }\n");
-            }
-            None => s.push_str("  \"metrics\": null\n"),
-        }
-        s.push_str("}\n");
-        s
+        let (st, sc) = (&self.stats, &self.sched_stats);
+        pels_obs::json::to_string(&json_object! {
+            "mediator" => self.mediator.to_string(),
+            "freq_mhz" => self.freq.as_mhz(),
+            "events_completed" => self.events_completed,
+            "latency_cycles" => json_object! {
+                "count" => st.count, "min" => st.min, "max" => st.max, "mean" => st.mean,
+                "p50" => st.p50, "p99" => st.p99, "jitter" => st.jitter(),
+            },
+            "active_window_ns" => self.active_window.as_ns(),
+            "idle_window_ns" => self.idle_window.as_ns(),
+            "sched" => json_object! {
+                "fast_cycles" => sc.fast_cycles, "stirred_cycles" => sc.stirred_cycles,
+                "naive_cycles" => sc.naive_cycles, "skip_spans" => sc.skip_spans,
+                "skipped_cycles" => sc.skipped_cycles, "rebuilds" => sc.rebuilds,
+                "wakes" => sc.wakes, "sleeps" => sc.sleeps,
+            },
+            "decode_cache" => json_object! {
+                "hits" => self.decode_cache_hits, "misses" => self.decode_cache_misses,
+            },
+            "trace_events" => self.trace.len(),
+            "energy" => self.energy.as_ref().map(energy_value),
+            "lifetime" => self.lifetime.as_ref().map(lifetime_value),
+            "metrics" => self.metrics.as_ref().map(pels_obs::MetricsSnapshot::to_value),
+        })
+    }
+}
+
+/// The energy ledger section of [`ScenarioReport::to_json`].
+fn energy_value(ledger: &EnergyLedger) -> Value {
+    let blame = ledger.blame().into_iter().map(|row| {
+        json_object! { "name" => row.name, "uj" => row.uj, "share" => row.share }
+    });
+    json_object! {
+        "total_uj" => ledger.total_uj(),
+        "floor_uj" => ledger.floor_uj(),
+        "span_s" => ledger.span().as_secs_f64(),
+        "windows" => ledger.windows(),
+        "mean_uw" => ledger.mean_power().as_uw(),
+        "blame" => Value::Arr(blame.collect()),
+    }
+}
+
+/// The battery projection section of [`ScenarioReport::to_json`]; an
+/// infinite lifetime (zero draw) serializes `"days"` as `null`.
+fn lifetime_value(report: &LifetimeReport) -> Value {
+    let blame = report.blame.iter().map(|row| {
+        json_object! { "name" => row.name.as_str(), "uw" => row.uw, "days_cost" => row.days_cost }
+    });
+    let soc = report.soc.iter().map(|p| Value::Arr(vec![p.t_days.into(), p.fraction.into()]));
+    json_object! {
+        "days" => report.days(),
+        "mean_draw_uw" => report.mean_draw_uw,
+        "usable_uj" => report.usable_uj,
+        "capacity_mah" => report.battery.capacity_mah,
+        "nominal_v" => report.battery.nominal_v,
+        "blame" => Value::Arr(blame.collect()),
+        "soc" => Value::Arr(soc.collect()),
     }
 }
 
@@ -1055,18 +1044,25 @@ mod tests {
         assert_eq!(plain.decode_cache_hits, observed.decode_cache_hits);
 
         // The JSON export carries the fast-path counters.
-        let json = observed.to_json();
-        assert!(json.contains("\"sched\""));
-        assert!(json.contains("\"decode_cache\""));
-        assert!(json.contains("\"cpu.decode_cache.hits\""));
-        assert!(plain.to_json().contains("\"metrics\": null"));
+        let json = pels_obs::json::parse(&observed.to_json()).unwrap();
+        let field = |section: &str, key: &str| -> Option<u64> {
+            json.get(section)?.get(key)?.as_u64()
+        };
+        assert_eq!(field("sched", "sleeps"), Some(observed.sched_stats.sleeps));
+        assert_eq!(field("decode_cache", "hits"), Some(observed.decode_cache_hits));
+        let hits = "cpu.decode_cache.hits";
+        assert_eq!(field("metrics", hits), snap.get(hits));
+        let plain_json = pels_obs::json::parse(&plain.to_json()).unwrap();
+        assert_eq!(plain_json.get("metrics"), Some(&Value::Null));
     }
 
     #[test]
     fn lifetime_projection_is_opt_in_and_populated() {
         let plain = Scenario::iso_frequency(Mediator::PelsSequenced).run();
         assert!(plain.energy.is_none() && plain.lifetime.is_none());
-        assert!(plain.to_json().contains("\"energy\": null"));
+        let plain_json = pels_obs::json::parse(&plain.to_json()).unwrap();
+        assert_eq!(plain_json.get("energy"), Some(&Value::Null));
+        assert_eq!(plain_json.get("lifetime"), Some(&Value::Null));
 
         let s = Scenario::duty_cycled(
             Mediator::PelsSequenced,
@@ -1081,9 +1077,40 @@ mod tests {
         assert!(ledger.windows() > 1, "one window per duty period");
         let projection = report.lifetime.as_ref().expect("projection");
         assert!(projection.days() > 0.0 && projection.days().is_finite());
-        let json = report.to_json();
-        assert!(json.contains("\"energy\": {"));
-        assert!(json.contains("\"days\":"));
+        let json = pels_obs::json::parse(&report.to_json()).unwrap();
+        let energy = json.get("energy").unwrap();
+        assert_eq!(energy.get("total_uj").and_then(Value::as_f64), Some(ledger.total_uj()));
+        assert_eq!(
+            energy.get("blame").and_then(Value::as_array).map(<[Value]>::len),
+            Some(ledger.blame().len())
+        );
+        let lifetime = json.get("lifetime").unwrap();
+        assert_eq!(lifetime.get("days").and_then(Value::as_f64), Some(projection.days()));
+        let soc = lifetime.get("soc").and_then(Value::as_array).unwrap();
+        assert_eq!(soc.len(), projection.soc.len());
+        assert_eq!(soc[0], Value::Arr(vec![0.0.into(), 1.0.into()]));
+    }
+
+    #[test]
+    fn report_json_escapes_names_and_nulls_non_finite_numbers() {
+        // A component name outside printable ASCII and an infinite
+        // projection must still serialize to a parseable document.
+        let mut report = Scenario::builder().events(2).lifetime(true).build().unwrap().run();
+        let ledger = EnergyLedger::from_timeline(&PowerTimeline {
+            samples: vec![PowerSample {
+                start: SimTime::ZERO,
+                end: SimTime::from_ns(1),
+                total_uw: 1.0,
+                components: vec![("a\u{7f}b".into(), 1.0)],
+            }],
+        });
+        report.energy.as_mut().unwrap().merge(&ledger);
+        report.lifetime.as_mut().unwrap().seconds = f64::INFINITY;
+
+        let json = pels_obs::json::parse(&report.to_json()).expect("report JSON parses");
+        let blame = json.get("energy").and_then(|e| e.get("blame")?.as_array()).unwrap();
+        assert!(blame.iter().any(|row| row.get("name") == Some(&"a\u{7f}b".into())));
+        assert_eq!(json.get("lifetime").and_then(|l| l.get("days")), Some(&Value::Null));
     }
 
     #[test]

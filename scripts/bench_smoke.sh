@@ -103,8 +103,12 @@ echo "bench_smoke: fused speedup keys OK"
 # examples/descs/ (round-trip checked on emit), then validate every
 # committed file — parse, validate, round-trip identity and a one-cycle
 # smoke build — and run the seeded desc fuzzer (fixed seed, 200+
-# generate -> validate -> fast-vs-naive differential iterations).
+# generate -> validate -> fast-vs-naive differential iterations). The
+# regenerated corpus must match the committed one byte for byte: a
+# layout or number-format drift in the encoder fails here instead of
+# silently rewriting examples/descs/.
 cargo run -q --release -p pels-bench --bin reproduce -- desc > /dev/null
+git diff --exit-code -- examples/descs/
 cargo run -q --release -p pels-bench --bin desc_check
 cargo test -q --test desc_fuzz
 echo "bench_smoke: description corpus + fuzzer OK"
