@@ -246,7 +246,7 @@ fn timeline_to_json(
         let components = p
             .components
             .iter()
-            .map(|(name, uw)| (name.as_str(), Value::from(*uw)));
+            .map(|(name, uw)| (*name, Value::from(*uw)));
         json_object! {
             "start_cycle" => w.start_cycle, "end_cycle" => w.end_cycle,
             "start_ns" => p.start.as_ns(), "end_ns" => p.end.as_ns(),
@@ -420,7 +420,7 @@ fn run_obs_artifact() -> Result<String, String> {
         let series: Vec<(&str, f64)> = s
             .components
             .iter()
-            .map(|(name, uw)| (name.as_str(), *uw))
+            .map(|&(name, uw)| (name, uw))
             .collect();
         chrome.add_counter("power_uw", s.start.as_us_f64(), &series);
         chrome.add_counter("power_total_uw", s.start.as_us_f64(), &[("total", s.total_uw)]);

@@ -101,18 +101,27 @@ pub enum PeriphKind {
 }
 
 impl PeriphKind {
+    /// Every kind's serialized name, in declaration order — the order
+    /// validation reports a missing kind in.
+    const NAMES: [&'static str; 7] = ["gpio", "timer", "spi", "adc", "uart", "wdt", "i2c"];
+
+    /// Dense index of this kind into [`Self::NAMES`].
+    fn index(&self) -> usize {
+        match self {
+            PeriphKind::Gpio => 0,
+            PeriphKind::Timer => 1,
+            PeriphKind::Spi { .. } => 2,
+            PeriphKind::Adc { .. } => 3,
+            PeriphKind::Uart => 4,
+            PeriphKind::Wdt => 5,
+            PeriphKind::I2c => 6,
+        }
+    }
+
     /// The serialized kind name — also the instance's component name in
     /// traces and activity images.
     pub fn name(&self) -> &'static str {
-        match self {
-            PeriphKind::Gpio => "gpio",
-            PeriphKind::Timer => "timer",
-            PeriphKind::Spi { .. } => "spi",
-            PeriphKind::Adc { .. } => "adc",
-            PeriphKind::Uart => "uart",
-            PeriphKind::Wdt => "wdt",
-            PeriphKind::I2c => "i2c",
-        }
+        Self::NAMES[self.index()]
     }
 }
 
@@ -292,17 +301,19 @@ impl SystemDesc {
                 ));
             }
         }
-        let mut seen_kinds: Vec<&'static str> = Vec::new();
-        let mut seen_offsets: Vec<u32> = Vec::new();
+        // One bit per kind (index into `PeriphKind::NAMES`) and one per
+        // APB slot (`offset / APB_STRIDE`, below 7 once range-checked).
+        let mut seen_kinds = 0u8;
+        let mut seen_slots = 0u8;
         for (i, p) in self.peripherals.iter().enumerate() {
-            let name = p.kind.name();
-            if seen_kinds.contains(&name) {
+            let kind_bit = 1u8 << p.kind.index();
+            if seen_kinds & kind_bit != 0 {
                 return Err(DescError::new(
                     format!("{base}/peripherals/{i}/kind"),
-                    format!("duplicate peripheral kind `{name}`"),
+                    format!("duplicate peripheral kind `{}`", p.kind.name()),
                 ));
             }
-            seen_kinds.push(name);
+            seen_kinds |= kind_bit;
             if p.offset % APB_STRIDE != 0 {
                 return Err(DescError::new(
                     format!("{base}/peripherals/{i}/offset"),
@@ -321,13 +332,14 @@ impl SystemDesc {
                     ),
                 ));
             }
-            if seen_offsets.contains(&p.offset) {
+            let slot_bit = 1u8 << (p.offset / APB_STRIDE);
+            if seen_slots & slot_bit != 0 {
                 return Err(DescError::new(
                     format!("{base}/peripherals/{i}/offset"),
                     format!("APB slot {} is already occupied", p.offset),
                 ));
             }
-            seen_offsets.push(p.offset);
+            seen_slots |= slot_bit;
             match p.kind {
                 PeriphKind::Spi { clkdiv: 0 } => {
                     return Err(DescError::new(
@@ -344,8 +356,8 @@ impl SystemDesc {
                 _ => {}
             }
         }
-        for required in ["gpio", "timer", "spi", "adc", "uart", "wdt", "i2c"] {
-            if !seen_kinds.contains(&required) {
+        for (bit, required) in PeriphKind::NAMES.iter().enumerate() {
+            if seen_kinds & (1 << bit) == 0 {
                 return Err(DescError::new(
                     format!("{base}/peripherals"),
                     format!("missing peripheral kind `{required}`"),

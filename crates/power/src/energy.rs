@@ -73,11 +73,23 @@ impl EnergyLedger {
             ledger.span_ps += s.end.as_ps() - s.start.as_ps();
             ledger.windows += 1;
             ledger.total_uwps += s.total_uw * d;
-            for (name, uw) in &s.components {
-                *ledger.components.entry(name.clone()).or_insert(0.0) += uw * d;
+            for &(name, uw) in &s.components {
+                ledger.charge(name, uw * d);
             }
         }
         ledger
+    }
+
+    /// Adds `uwps` to a component's sum; only a component met for the
+    /// first time allocates its key.
+    fn charge(&mut self, name: &str, uwps: f64) {
+        match self.components.get_mut(name) {
+            Some(sum) => *sum += uwps,
+            None => {
+                // `0.0 +` keeps the bits of a zero-initialised sum.
+                self.components.insert(name.to_owned(), 0.0 + uwps);
+            }
+        }
     }
 
     /// Folds another ledger into this one (per-component sums, spans
@@ -87,8 +99,8 @@ impl EnergyLedger {
         self.span_ps = self.span_ps.saturating_add(other.span_ps);
         self.windows += other.windows;
         self.total_uwps += other.total_uwps;
-        for (name, uwps) in &other.components {
-            *self.components.entry(name.clone()).or_insert(0.0) += uwps;
+        for (name, &uwps) in &other.components {
+            self.charge(name, uwps);
         }
     }
 

@@ -1,16 +1,27 @@
 //! The activity → power model.
+//!
+//! [`PowerModel`] compiles its component inventory into a name-sorted
+//! slot table (interned id, `&'static str` name, area, leakage), and one
+//! private kernel turns an [`ActivitySet`] into per-component power by
+//! walking that table — no string keys, maps or intern-registry lookups
+//! per evaluation. [`PowerModel::report`] runs the kernel once;
+//! [`crate::PowerTimeline::from_activity`] keeps one kernel (and its
+//! scratch buffers) alive across every window of a timeline.
 
 use crate::calibration::Calibration;
 use crate::units::{Energy, Power};
-use pels_sim::{ActivityKind, ActivitySet, SimTime};
-use std::collections::BTreeMap;
+use pels_sim::{ActivityKind, ActivitySet, ComponentId, SimTime};
 use std::fmt;
+
+type Row = [u64; ActivityKind::COUNT];
+
+const ZERO_ROW: Row = [0; ActivityKind::COUNT];
 
 /// Power attributed to one component over the measurement window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComponentPower {
-    /// Component name (matches the activity-set names).
-    pub name: String,
+    /// Component name (the interned activity-set name).
+    pub name: &'static str,
     /// Activity-driven (dynamic) power, including clock tree.
     pub dynamic: Power,
     /// Leakage share.
@@ -24,13 +35,19 @@ impl ComponentPower {
     }
 }
 
+/// Total SoC power: the components summed in their (sorted) order, then
+/// the analog floor.
+pub(crate) fn total_power(components: &[ComponentPower], constant: Power) -> Power {
+    components.iter().map(ComponentPower::total).sum::<Power>() + constant
+}
+
 /// The result of evaluating a measurement window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerReport {
     window: SimTime,
     components: Vec<ComponentPower>,
     constant: Power,
-    kind_energy: BTreeMap<ActivityKind, Energy>,
+    kind_energy: [Energy; ActivityKind::COUNT],
 }
 
 impl PowerReport {
@@ -56,7 +73,7 @@ impl PowerReport {
 
     /// Total SoC power: components + analog floor.
     pub fn total(&self) -> Power {
-        self.components.iter().map(ComponentPower::total).sum::<Power>() + self.constant
+        total_power(&self.components, self.constant)
     }
 
     /// Power attributable to the memory system: SRAM and SCM access
@@ -69,8 +86,8 @@ impl PowerReport {
             ActivityKind::ScmRead,
             ActivityKind::ScmWrite,
         ]
-        .iter()
-        .filter_map(|k| self.kind_energy.get(k).copied())
+        .into_iter()
+        .map(|k| self.kind_energy(k))
         .sum();
         let sram_static = self
             .component("sram")
@@ -88,8 +105,8 @@ impl PowerReport {
             return Power::ZERO;
         };
         let access: Energy = [ActivityKind::SramRead, ActivityKind::SramWrite]
-            .iter()
-            .filter_map(|k| self.kind_energy.get(k).copied())
+            .into_iter()
+            .map(|k| self.kind_energy(k))
             .sum();
         let access_p = access.over(self.window);
         if c.dynamic.as_uw() > access_p.as_uw() {
@@ -101,7 +118,7 @@ impl PowerReport {
 
     /// Energy charged to an activity kind over the window.
     pub fn kind_energy(&self, kind: ActivityKind) -> Energy {
-        self.kind_energy.get(&kind).copied().unwrap_or(Energy::ZERO)
+        self.kind_energy[kind.index()]
     }
 }
 
@@ -121,12 +138,26 @@ impl fmt::Display for PowerReport {
     }
 }
 
+/// One component as the kernel sees it: everything an evaluation needs,
+/// resolved once so no evaluation touches the intern registry.
+#[derive(Debug, Clone)]
+struct Slot {
+    id: ComponentId,
+    name: &'static str,
+    area_kge: f64,
+    leakage: Power,
+    /// Registered components report (and leak) in every window; a stray
+    /// (active but unregistered) component reports only when active.
+    registered: bool,
+}
+
 /// The model: a calibration plus the SoC's component inventory (areas in
 /// kGE drive clock-tree energy and leakage shares).
 #[derive(Debug, Clone)]
 pub struct PowerModel {
     calibration: Calibration,
-    areas: BTreeMap<String, f64>,
+    /// Registered components, sorted by name.
+    slots: Vec<Slot>,
 }
 
 impl PowerModel {
@@ -134,7 +165,7 @@ impl PowerModel {
     pub fn new(calibration: Calibration) -> Self {
         PowerModel {
             calibration,
-            areas: BTreeMap::new(),
+            slots: Vec::new(),
         }
     }
 
@@ -143,12 +174,38 @@ impl PowerModel {
         &self.calibration
     }
 
-    /// Registers a component and its logic area. Components appearing in
-    /// the activity set without registration contribute event energy but
-    /// no clock/leakage share.
-    pub fn add_component(&mut self, name: impl Into<String>, area_kge: f64) -> &mut Self {
-        self.areas.insert(name.into(), area_kge);
+    /// Registers a component and its logic area (re-registering a name
+    /// replaces its area). Components appearing in the activity set
+    /// without registration contribute event energy but no clock/leakage
+    /// share.
+    pub fn add_component(&mut self, name: impl AsRef<str>, area_kge: f64) -> &mut Self {
+        let slot = self.slot(ComponentId::intern(name.as_ref()), area_kge, true);
+        match self.slots.binary_search_by(|s| s.name.cmp(slot.name)) {
+            Ok(i) => self.slots[i] = slot,
+            Err(i) => self.slots.insert(i, slot),
+        }
         self
+    }
+
+    /// The slot for `id` with `area_kge` of logic: its leakage is the
+    /// logic share, plus the macro leakage if it is the SRAM.
+    fn slot(&self, id: ComponentId, area_kge: f64, registered: bool) -> Slot {
+        let name = id.name();
+        let mut leakage = self.calibration.logic_leakage(area_kge);
+        if name == "sram" {
+            leakage += Power::from_uw(self.calibration.sram_leak_uw);
+        }
+        Slot {
+            id,
+            name,
+            area_kge,
+            leakage,
+            registered,
+        }
+    }
+
+    fn constant(&self) -> Power {
+        Power::from_uw(self.calibration.p_const_uw)
     }
 
     /// Evaluates a measurement window.
@@ -162,65 +219,301 @@ impl PowerModel {
     ///
     /// Panics if `window` is zero.
     pub fn report(&self, activity: &ActivitySet, window: SimTime) -> PowerReport {
-        assert!(window.as_ps() > 0, "window must be non-zero");
-        let mut per_component: BTreeMap<String, Energy> = BTreeMap::new();
-        let mut kind_energy: BTreeMap<ActivityKind, Energy> = BTreeMap::new();
-
-        for (component, kind, n) in activity.iter() {
-            let e = if kind == ActivityKind::ClockCycle {
-                let area = self.areas.get(component).copied().unwrap_or(0.0);
-                self.calibration.clock_energy(area, n)
-            } else {
-                self.calibration.event_energy(kind, n)
-            };
-            *per_component
-                .entry(component.to_owned())
-                .or_insert(Energy::ZERO) += e;
-            *kind_energy.entry(kind).or_insert(Energy::ZERO) += e;
+        let mut kernel = Kernel::new(self);
+        let kind_energy = kernel.evaluate(activity, window);
+        PowerReport {
+            window,
+            components: kernel.components,
+            constant: self.constant(),
+            kind_energy,
         }
+    }
+}
 
-        // Every registered component leaks whether active or not.
-        let mut components: Vec<ComponentPower> = Vec::new();
-        let mut named: std::collections::BTreeSet<String> =
-            per_component.keys().cloned().collect();
-        named.extend(self.areas.keys().cloned());
-        for name in named {
-            let dynamic = per_component
-                .get(&name)
-                .copied()
-                .unwrap_or(Energy::ZERO)
-                .over(window);
-            let mut leakage = self
-                .calibration
-                .logic_leakage(self.areas.get(&name).copied().unwrap_or(0.0));
-            if name == "sram" {
-                leakage += Power::from_uw(self.calibration.sram_leak_uw);
+/// The one evaluation kernel: a model's slot table extended with any
+/// stray components met so far, an id → slot index, and scratch buffers
+/// reused from one evaluation to the next.
+pub(crate) struct Kernel<'m> {
+    model: &'m PowerModel,
+    /// Registered and stray slots, sorted by name.
+    slots: Vec<Slot>,
+    /// `slot_of[id.index()]`: the id's position in `slots`.
+    slot_of: Vec<Option<usize>>,
+    /// Scratch: the evaluated set's counter row per slot.
+    rows: Vec<Row>,
+    /// The last evaluation's components, sorted descending by total.
+    components: Vec<ComponentPower>,
+}
+
+impl<'m> Kernel<'m> {
+    pub(crate) fn new(model: &'m PowerModel) -> Self {
+        let mut kernel = Kernel {
+            model,
+            slots: model.slots.clone(),
+            slot_of: Vec::new(),
+            rows: Vec::new(),
+            components: Vec::new(),
+        };
+        kernel.reindex();
+        kernel
+    }
+
+    fn reindex(&mut self) {
+        self.slot_of.clear();
+        for (i, slot) in self.slots.iter().enumerate() {
+            let idx = slot.id.index();
+            if idx >= self.slot_of.len() {
+                self.slot_of.resize(idx + 1, None);
             }
-            components.push(ComponentPower {
-                name,
-                dynamic,
-                leakage,
+            self.slot_of[idx] = Some(i);
+        }
+    }
+
+    /// Copies `activity`'s rows into the per-slot scratch, first giving
+    /// any component this kernel has not met a stray slot in name order.
+    fn load(&mut self, activity: &ActivitySet) {
+        self.rows.clear();
+        self.rows.resize(self.slots.len(), ZERO_ROW);
+        for (id, row) in activity.rows() {
+            let Some(i) = self.slot_of.get(id.index()).copied().flatten() else {
+                let stray = self.model.slot(id, 0.0, false);
+                let at = self.slots.partition_point(|s| s.name < stray.name);
+                self.slots.insert(at, stray);
+                self.reindex();
+                return self.load(activity);
+            };
+            self.rows[i] = *row;
+        }
+    }
+
+    /// Evaluates one window into [`Kernel::components`] and returns the
+    /// energy per activity kind.
+    ///
+    /// Floating-point order is part of the contract: each component sums
+    /// its kinds in declaration order, each kind accumulates across
+    /// components in name order, and the stable sort by total keeps name
+    /// order among ties.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero.
+    pub(crate) fn evaluate(
+        &mut self,
+        activity: &ActivitySet,
+        window: SimTime,
+    ) -> [Energy; ActivityKind::COUNT] {
+        assert!(window.as_ps() > 0, "window must be non-zero");
+        self.load(activity);
+        let calibration = &self.model.calibration;
+        let mut kind_energy = [Energy::ZERO; ActivityKind::COUNT];
+        self.components.clear();
+        for (slot, row) in self.slots.iter().zip(&self.rows) {
+            if !slot.registered && *row == ZERO_ROW {
+                continue;
+            }
+            let mut energy = Energy::ZERO;
+            for (kind, &n) in ActivityKind::ALL.into_iter().zip(row) {
+                if n == 0 {
+                    continue;
+                }
+                let e = if kind == ActivityKind::ClockCycle {
+                    calibration.clock_energy(slot.area_kge, n)
+                } else {
+                    calibration.event_energy(kind, n)
+                };
+                energy += e;
+                kind_energy[kind.index()] += e;
+            }
+            self.components.push(ComponentPower {
+                name: slot.name,
+                dynamic: energy.over(window),
+                leakage: slot.leakage,
             });
         }
-        components.sort_by(|a, b| {
+        self.components.sort_by(|a, b| {
             b.total()
                 .as_uw()
                 .partial_cmp(&a.total().as_uw())
                 .expect("power values are finite")
         });
+        kind_energy
+    }
 
-        PowerReport {
-            window,
-            components,
-            constant: Power::from_uw(self.calibration.p_const_uw),
-            kind_energy,
-        }
+    /// The last evaluation's components, sorted descending by total.
+    pub(crate) fn components(&self) -> &[ComponentPower] {
+        &self.components
+    }
+
+    /// The last evaluation's total SoC power.
+    pub(crate) fn total(&self) -> Power {
+        total_power(&self.components, self.model.constant())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pels_sim::Rng;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// `(name, dynamic, leakage)` rows in report order, plus the
+    /// per-kind energies.
+    type Reference = (Vec<(String, Power, Power)>, BTreeMap<ActivityKind, Energy>);
+
+    /// The string-keyed evaluation the kernel replaced, kept as the
+    /// oracle.
+    fn reference_report(
+        calibration: &Calibration,
+        areas: &BTreeMap<String, f64>,
+        activity: &ActivitySet,
+        window: SimTime,
+    ) -> Reference {
+        let mut per_component: BTreeMap<String, Energy> = BTreeMap::new();
+        let mut kind_energy: BTreeMap<ActivityKind, Energy> = BTreeMap::new();
+        for (component, kind, n) in activity.iter() {
+            let e = if kind == ActivityKind::ClockCycle {
+                let area = areas.get(component).copied().unwrap_or(0.0);
+                calibration.clock_energy(area, n)
+            } else {
+                calibration.event_energy(kind, n)
+            };
+            *per_component
+                .entry(component.to_owned())
+                .or_insert(Energy::ZERO) += e;
+            *kind_energy.entry(kind).or_insert(Energy::ZERO) += e;
+        }
+        let mut named: BTreeSet<String> = per_component.keys().cloned().collect();
+        named.extend(areas.keys().cloned());
+        let mut components: Vec<(String, Power, Power)> = named
+            .into_iter()
+            .map(|name| {
+                let dynamic = per_component
+                    .get(&name)
+                    .copied()
+                    .unwrap_or(Energy::ZERO)
+                    .over(window);
+                let mut leakage =
+                    calibration.logic_leakage(areas.get(&name).copied().unwrap_or(0.0));
+                if name == "sram" {
+                    leakage += Power::from_uw(calibration.sram_leak_uw);
+                }
+                (name, dynamic, leakage)
+            })
+            .collect();
+        components.sort_by(|a, b| {
+            (b.1 + b.2)
+                .as_uw()
+                .partial_cmp(&(a.1 + a.2).as_uw())
+                .expect("power values are finite")
+        });
+        (components, kind_energy)
+    }
+
+    #[test]
+    fn kernel_matches_the_string_keyed_oracle_bit_for_bit() {
+        // Registered or not per case; strays sort before, between and
+        // after the registered names, and "sram" may be either.
+        const POOL: [&str; 28] = [
+            "aaa.oracle",
+            "adc",
+            "b.oracle",
+            "fabric",
+            "gpio",
+            "i2c",
+            "ibex",
+            "m.oracle",
+            "n.oracle",
+            "pels",
+            "pels.link0",
+            "pels.link1",
+            "pels.link2",
+            "pels.link3",
+            "periph_misc",
+            "q.oracle",
+            "soc_ctrl",
+            "spi",
+            "sram",
+            "t.oracle",
+            "timer",
+            "u.oracle",
+            "uart",
+            "udma",
+            "w.oracle",
+            "wdt",
+            "y.oracle",
+            "zzz.oracle",
+        ];
+        // Few distinct areas and counts, so equal-power ties are common.
+        const AREAS: [f64; 4] = [0.0, 5.0, 27.0, 200.0];
+        const COUNTS: [u64; 4] = [1, 7, 550, 1_000_000];
+        let calibration = Calibration::tsmc65();
+        let mut rng = Rng::seed_from_u64(0x5eed_0e1e);
+        let mut ties = 0;
+        for case in 0..2_000 {
+            let mut model = PowerModel::new(calibration);
+            let mut areas = BTreeMap::new();
+            for name in POOL {
+                if rng.ratio(2, 3) {
+                    let area = AREAS[rng.index(AREAS.len())];
+                    model.add_component(name, area);
+                    areas.insert(name.to_string(), area);
+                }
+            }
+            let mut activity = ActivitySet::new();
+            let mut shared_row: Option<Vec<(ActivityKind, u64)>> = None;
+            for name in POOL {
+                if rng.ratio(1, 3) {
+                    continue;
+                }
+                let row = match &shared_row {
+                    Some(shared) if rng.ratio(1, 4) => shared.clone(),
+                    _ => ActivityKind::ALL
+                        .into_iter()
+                        .filter_map(|k| {
+                            let n = match rng.index(6) {
+                                0 | 1 => COUNTS[rng.index(COUNTS.len())],
+                                2 => rng.range_u64(1, 1 << 40),
+                                _ => return None,
+                            };
+                            Some((k, n))
+                        })
+                        .collect(),
+                };
+                for &(kind, n) in &row {
+                    activity.record_named(name, kind, n);
+                }
+                shared_row = Some(row);
+            }
+            let window = SimTime::from_ps(rng.range_u64(1, 1 << 42));
+
+            let got = model.report(&activity, window);
+            let (want, want_kinds) = reference_report(&calibration, &areas, &activity, window);
+            let names: Vec<&str> = got.components().iter().map(|c| c.name).collect();
+            let want_names: Vec<&str> = want.iter().map(|(n, _, _)| n.as_str()).collect();
+            assert_eq!(names, want_names, "case {case}: component order");
+            for (c, (_, dynamic, leakage)) in got.components().iter().zip(&want) {
+                assert_eq!(c.dynamic.as_uw().to_bits(), dynamic.as_uw().to_bits(), "case {case}");
+                assert_eq!(c.leakage.as_uw().to_bits(), leakage.as_uw().to_bits(), "case {case}");
+            }
+            let want_total = want.iter().map(|(_, d, l)| *d + *l).sum::<Power>()
+                + Power::from_uw(calibration.p_const_uw);
+            assert_eq!(got.total().as_uw().to_bits(), want_total.as_uw().to_bits(), "case {case}");
+            for kind in ActivityKind::ALL {
+                let want_e = want_kinds.get(&kind).copied().unwrap_or(Energy::ZERO);
+                assert_eq!(
+                    got.kind_energy(kind).as_pj().to_bits(),
+                    want_e.as_pj().to_bits(),
+                    "case {case}: {kind}"
+                );
+            }
+            ties += got
+                .components()
+                .windows(2)
+                .filter(|w| w[0].total() == w[1].total())
+                .count();
+        }
+        assert!(ties > 100, "the cases exercise equal-power ties ({ties})");
+    }
 
     fn model() -> PowerModel {
         let mut m = PowerModel::new(Calibration::default());

@@ -7,7 +7,7 @@
 //! span in simulated time, the total SoC power, and the per-component
 //! breakdown, ready for counter-track export or a terminal sparkline.
 
-use crate::model::PowerModel;
+use crate::model::{Kernel, PowerModel};
 use pels_sim::{ActivityTimeline, Frequency, SimTime};
 
 /// Power over one timeline window.
@@ -20,8 +20,10 @@ pub struct PowerSample {
     /// Total SoC power over the window (components + analog floor), µW.
     pub total_uw: f64,
     /// Per-component total power (dynamic + leakage), µW, sorted
-    /// descending — the order [`PowerModel::report`] produces.
-    pub components: Vec<(String, f64)>,
+    /// descending — the order [`PowerModel::report`] produces. Names are
+    /// the interned component names, so a sample allocates only this
+    /// vector.
+    pub components: Vec<(&'static str, f64)>,
 }
 
 impl PowerSample {
@@ -34,7 +36,7 @@ impl PowerSample {
     pub fn component_uw(&self, name: &str) -> f64 {
         self.components
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| *n == name)
             .map(|(_, p)| *p)
             .unwrap_or(0.0)
     }
@@ -54,11 +56,15 @@ impl PowerTimeline {
     /// Windows are evaluated independently, so a quiescence-stretched
     /// window (long span, little activity) correctly averages down to a
     /// low power, while a busy nominal-width window shows the peak.
+    /// Every sample has the bits of [`PowerModel::report`] over its
+    /// window; one evaluation kernel serves the whole timeline, so the
+    /// slot layout is resolved once and scratch buffers are reused.
     pub fn from_activity(
         model: &PowerModel,
         timeline: &ActivityTimeline,
         clock: Frequency,
     ) -> Self {
+        let mut kernel = Kernel::new(model);
         let samples = timeline
             .windows
             .iter()
@@ -67,16 +73,16 @@ impl PowerTimeline {
                 let start = clock.cycles(w.start_cycle);
                 let end = clock.cycles(w.end_cycle);
                 let duration = SimTime::from_ps(end.as_ps() - start.as_ps());
-                let report = model.report(&w.activity, duration);
-                let components = report
+                kernel.evaluate(&w.activity, duration);
+                let components = kernel
                     .components()
                     .iter()
-                    .map(|c| (c.name.clone(), c.total().as_uw()))
+                    .map(|c| (c.name, c.total().as_uw()))
                     .collect();
                 PowerSample {
                     start,
                     end,
-                    total_uw: report.total().as_uw(),
+                    total_uw: kernel.total().as_uw(),
                     components,
                 }
             })
@@ -100,11 +106,11 @@ impl PowerTimeline {
     }
 
     /// Sorted union of every component name appearing in any sample.
-    pub fn component_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
+    pub fn component_names(&self) -> Vec<&'static str> {
+        let mut names: Vec<&'static str> = self
             .samples
             .iter()
-            .flat_map(|s| s.components.iter().map(|(n, _)| n.clone()))
+            .flat_map(|s| s.components.iter().map(|&(n, _)| n))
             .collect();
         names.sort();
         names.dedup();
@@ -240,13 +246,49 @@ mod tests {
     }
 
     #[test]
+    fn timeline_samples_equal_per_window_reports() {
+        // Windows of varied activity, including a stray (unregistered)
+        // component that first appears mid-timeline and then vanishes.
+        let m = model();
+        let mut t = ActivityTimeline::new(100);
+        for (i, reads) in [0, 500, 3, 0, 77].into_iter().enumerate() {
+            let start = i as u64 * 100;
+            let mut w = busy_window(start, start + 100 + 37 * i as u64, reads);
+            if i == 2 {
+                w.activity.record_named("timeline.stray", ActivityKind::BusTransfer, 9);
+            }
+            if i == 3 {
+                w.activity = ActivitySet::new();
+            }
+            t.windows.push(w);
+        }
+        let clock = Frequency::from_mhz(55.0);
+        let pt = PowerTimeline::from_activity(&m, &t, clock);
+        assert_eq!(pt.len(), t.windows.len());
+        for (sample, w) in pt.samples.iter().zip(&t.windows) {
+            let report = m.report(&w.activity, sample.duration());
+            assert_eq!(sample.total_uw.to_bits(), report.total().as_uw().to_bits());
+            let want: Vec<(&str, u64)> = report
+                .components()
+                .iter()
+                .map(|c| (c.name, c.total().as_uw().to_bits()))
+                .collect();
+            let got: Vec<(&str, u64)> =
+                sample.components.iter().map(|&(n, uw)| (n, uw.to_bits())).collect();
+            assert_eq!(got, want);
+        }
+        assert!(pt.samples[2].component_uw("timeline.stray") > 0.0);
+        assert!(pt.samples[3].components.iter().all(|&(n, _)| n != "timeline.stray"));
+    }
+
+    #[test]
     fn component_names_are_sorted_union() {
         let mut t = ActivityTimeline::new(10);
         t.windows.push(busy_window(0, 10, 1));
         let pt = PowerTimeline::from_activity(&model(), &t, Frequency::from_mhz(50.0));
         let names = pt.component_names();
-        assert!(names.contains(&"ibex".to_string()));
-        assert!(names.contains(&"sram".to_string()));
+        assert!(names.contains(&"ibex"));
+        assert!(names.contains(&"sram"));
         let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(names, sorted);

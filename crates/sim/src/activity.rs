@@ -128,10 +128,24 @@ const ZERO_ROW: Row = [0; ActivityKind::COUNT];
 /// assert_eq!(a.count("sram", ActivityKind::SramRead), 4);
 /// assert_eq!(a.component_total("sram"), 4);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct ActivitySet {
     /// `counts[id][kind]`, indexed by `ComponentId::index()`.
     counts: Vec<Row>,
+}
+
+/// `clone_from` reuses the destination's row storage, so a periodically
+/// refreshed baseline copy allocates nothing in the steady state.
+impl Clone for ActivitySet {
+    fn clone(&self) -> Self {
+        ActivitySet {
+            counts: self.counts.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.counts.clone_from(&source.counts);
+    }
 }
 
 impl ActivitySet {
@@ -193,14 +207,22 @@ impl ActivitySet {
         self.counts.iter().map(|row| row[k]).sum()
     }
 
+    /// Every component with at least one non-zero counter and its
+    /// counter row (indexed by [`ActivityKind::index`]), in id order —
+    /// the dense view for consumers that resolve ids themselves.
+    pub fn rows(&self) -> impl Iterator<Item = (ComponentId, &[u64; ActivityKind::COUNT])> + '_ {
+        self.counts
+            .iter()
+            .enumerate()
+            .filter(|(_, row)| **row != ZERO_ROW)
+            .map(|(i, row)| (ComponentId::from_index(i), row))
+    }
+
     /// Ids of components with at least one non-zero counter, sorted by
-    /// name for deterministic reporting.
+    /// name for deterministic reporting (each name resolved once).
     fn present(&self) -> Vec<ComponentId> {
-        let mut ids: Vec<ComponentId> = (0..self.counts.len())
-            .filter(|&i| self.counts[i] != ZERO_ROW)
-            .map(ComponentId::from_index)
-            .collect();
-        ids.sort_by_key(|id| id.name());
+        let mut ids: Vec<ComponentId> = self.rows().map(|(id, _)| id).collect();
+        ids.sort_by_cached_key(|id| id.name());
         ids
     }
 

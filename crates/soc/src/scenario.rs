@@ -725,7 +725,7 @@ impl Scenario {
                     let components = report
                         .components()
                         .iter()
-                        .map(|c| (c.name.clone(), c.total().as_uw()))
+                        .map(|c| (c.name, c.total().as_uw()))
                         .collect();
                     PowerTimeline {
                         samples: vec![PowerSample {
@@ -1101,7 +1101,7 @@ mod tests {
                 start: SimTime::ZERO,
                 end: SimTime::from_ns(1),
                 total_uw: 1.0,
-                components: vec![("a\u{7f}b".into(), 1.0)],
+                components: vec![("a\u{7f}b", 1.0)],
             }],
         });
         report.energy.as_mut().unwrap().merge(&ledger);

@@ -1676,7 +1676,7 @@ impl Soc {
         });
         s.window_start = self.cycle;
         s.next_boundary = self.cycle + s.window_cycles;
-        s.baseline = self.activity.clone();
+        s.baseline.clone_from(&self.activity);
         s.baseline_awake = self.cpu_awake_cycles;
         self.sampler = Some(s);
     }

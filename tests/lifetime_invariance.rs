@@ -195,3 +195,73 @@ fn merged_ledger_is_identical_across_worker_counts() {
     let projection = Battery::coin_cell().project(merged);
     assert!(projection.days() > 0.0);
 }
+
+/// Pinned bits of the duty-cycled ledger (10 µs periods over 2 ms):
+/// `(total µJ, projected days, blame rows as (name, µJ))`. Any change to
+/// the power model's floating-point evaluation order moves these.
+type Golden = (u64, u64, &'static [(&'static str, u64)]);
+
+const GOLDEN_PELS_SEQUENCED: Golden = (
+    0x3ff7_6803_f2e2_4787,
+    0x4041_61cf_748e_5a37,
+    &[
+        ("fabric", 0x3fe1_a91f_d182_e0a7),
+        ("soc_ctrl", 0x3fc7_0b42_6685_2f89),
+        ("sram", 0x3fb1_9ee7_f237_2882),
+        ("timer", 0x3fb0_5213_37cc_a96f),
+        ("pels.link0", 0x3fac_82d7_6c07_3080),
+        ("spi", 0x3fa4_0c7d_6303_c276),
+        ("pels", 0x3f94_7bc9_3eaf_46b2),
+        ("periph_misc", 0x3f94_17c6_b372_5cb5),
+        ("adc", 0x3f90_be7a_eadf_4d42),
+        ("i2c", 0x3f8a_ca5e_4498_7b9d),
+        ("uart", 0x3f8a_ca5e_4498_7b9d),
+        ("gpio", 0x3f87_49b8_e387_81bd),
+        ("wdt", 0x3f76_534e_8e7f_11ad),
+        ("ibex", 0x3f72_75f4_94c0_e253),
+        ("(analog floor)", 0x3fd9_9acc_2b1b_9f8e),
+    ],
+);
+
+const GOLDEN_IBEX_IRQ: Golden = (
+    0x3ff8_b408_85fe_1d6e,
+    0x4040_66a2_c49d_acb4,
+    &[
+        ("fabric", 0x3fe1_ae31_f49b_6b9b),
+        ("soc_ctrl", 0x3fc7_0b87_08d7_bfc6),
+        ("sram", 0x3fbc_f265_bd0e_07e9),
+        ("timer", 0x3fb0_523d_c566_5f44),
+        ("pels.link0", 0x3fa9_9b07_d0ef_b8a2),
+        ("ibex", 0x3fa7_a131_4d43_7e0b),
+        ("spi", 0x3fa4_3b54_5e3e_c005),
+        ("pels", 0x3f94_7c06_40bf_c6e8),
+        ("periph_misc", 0x3f94_17cc_3116_2130),
+        ("adc", 0x3f90_be7f_7e3d_1ba8),
+        ("i2c", 0x3f8a_ca65_96c8_2c40),
+        ("uart", 0x3f8a_ca65_96c8_2c40),
+        ("gpio", 0x3f86_f5dc_2736_5ca2),
+        ("wdt", 0x3f76_5354_a851_7a35),
+        ("(analog floor)", 0x3fd9_9b18_6de1_ba2d),
+    ],
+);
+
+#[test]
+fn duty_cycled_energy_matches_golden_bits() {
+    for (mediator, (total, days, blame)) in [
+        (Mediator::PelsSequenced, GOLDEN_PELS_SEQUENCED),
+        (Mediator::IbexIrq, GOLDEN_IBEX_IRQ),
+    ] {
+        let report =
+            Scenario::duty_cycled(mediator, SimTime::from_us(10), SimTime::from_ms(2)).run();
+        let ledger = report.energy.as_ref().expect("ledger");
+        let projection = report.lifetime.as_ref().expect("projection");
+        assert_eq!(ledger.total_uj().to_bits(), total, "{mediator:?} total µJ");
+        assert_eq!(projection.days().to_bits(), days, "{mediator:?} days");
+        let rows = ledger.blame();
+        let bits: Vec<(&str, u64)> = rows
+            .iter()
+            .map(|row| (row.name.as_str(), row.uj.to_bits()))
+            .collect();
+        assert_eq!(bits, blame, "{mediator:?} blame rows {rows:?}");
+    }
+}
