@@ -242,7 +242,7 @@ fn timeline_to_json(
     power: &pels_power::PowerTimeline,
 ) -> String {
     let timeline = report.timeline.as_ref().expect("timeline sampled");
-    let windows = timeline.windows.iter().zip(&power.samples).map(|(w, p)| {
+    let windows = timeline.windows().zip(&power.samples).map(|(w, p)| {
         let components = p
             .components
             .iter()

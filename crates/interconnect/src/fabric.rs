@@ -88,19 +88,25 @@ enum Phase {
     Access { remaining: u32 },
 }
 
+/// A request with its address decoded once, when it is issued.
+#[derive(Debug, Clone, Copy)]
+struct Decoded {
+    request: ApbRequest,
+    /// `(slave index, offset)`; `None` when decode failed.
+    target: Option<(usize, u32)>,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     master: usize,
-    /// Decoded `(slave index, offset)`; `None` when decode failed.
-    target: Option<(usize, u32)>,
-    request: ApbRequest,
+    access: Decoded,
     phase: Phase,
 }
 
 #[derive(Debug)]
 struct MasterPort {
     id: ComponentId,
-    pending: Option<ApbRequest>,
+    pending: Option<Decoded>,
     response: Option<ApbResponse>,
     /// Windowed stall count, reset by `drain_activity`.
     stall_cycles: u64,
@@ -196,7 +202,13 @@ impl<S: ApbSlave> ApbFabric<S> {
     }
 
     /// Registers a master port.
+    ///
+    /// # Panics
+    ///
+    /// Panics past 64 masters: requests arbitrate as a bit-per-master
+    /// mask.
     pub fn add_master(&mut self, name: impl AsRef<str>) -> MasterId {
+        assert!(self.masters.len() < 64, "a fabric arbitrates at most 64 masters");
         self.masters.push(MasterPort {
             id: ComponentId::intern(name.as_ref()),
             pending: None,
@@ -214,14 +226,23 @@ impl<S: ApbSlave> ApbFabric<S> {
     ///
     /// Panics if `range` overlaps an already-mapped slave — bus maps are
     /// static hardware configuration, so this is a construction bug, not a
-    /// runtime condition.
+    /// runtime condition — or past 63 slaves: slaves are reported as
+    /// bit-per-slave masks, and the crossbar's lanes (one per slave plus
+    /// the decode-error lane) as a bit-per-lane mask.
     pub fn add_slave(&mut self, range: AddrRange, slave: S) -> SlaveId {
         let idx = self.slaves.len();
+        assert!(idx < 63, "a fabric maps at most 63 slaves");
         if let Err(e) = self.map.insert(range, idx) {
             panic!("fabric address map conflict: {e}");
         }
         self.slaves.push(slave);
         self.rebuild_lanes();
+        // A request issued before this slave was mapped decodes anew.
+        for port in &mut self.masters {
+            if let Some(p) = &mut port.pending {
+                p.target = self.map.decode(p.request.addr);
+            }
+        }
         SlaveId(idx)
     }
 
@@ -284,7 +305,10 @@ impl<S: ApbSlave> ApbFabric<S> {
         if !self.can_issue(master) {
             return Err(BusError::Busy);
         }
-        self.masters[master.0].pending = Some(request);
+        self.masters[master.0].pending = Some(Decoded {
+            request,
+            target: self.map.decode(request.addr),
+        });
         Ok(())
     }
 
@@ -320,7 +344,7 @@ impl<S: ApbSlave> ApbFabric<S> {
             .collect()
     }
 
-    /// Lane index a request on `addr` arbitrates in.
+    /// Lane index a request to `target` arbitrates in.
     fn lane_of(&self, target: Option<(usize, u32)>) -> usize {
         match self.topology {
             Topology::Shared => 0,
@@ -349,13 +373,17 @@ impl<S: ApbSlave> ApbFabric<S> {
         // Quiescent fast path: nothing pending, nothing in flight. Only
         // the cycle counter advances — stall/busy accounting would be
         // zero this cycle anyway.
-        if self.masters.iter().all(|p| p.pending.is_none())
-            && self.lanes.iter().all(Option::is_none)
-        {
+        if self.is_quiescent() {
             self.cycle += 1;
             return;
         }
-        let lanes_free_at_start: Vec<bool> = self.lanes.iter().map(|l| l.is_none()).collect();
+        // Lanes occupied at the start of the cycle (bit per lane; the
+        // crossbar has at most 64 lanes, see `add_slave`).
+        let busy_at_start = self
+            .lanes
+            .iter()
+            .enumerate()
+            .fold(0u64, |m, (i, l)| m | u64::from(l.is_some()) << i);
 
         // Phase 1: advance in-flight transfers.
         #[allow(clippy::needless_range_loop)] // lane indexes two arrays
@@ -367,9 +395,9 @@ impl<S: ApbSlave> ApbFabric<S> {
             // phase in cycle N+1; with zero wait states it completes there.
             let finish = match flight.phase {
                 Phase::Setup => {
-                    let waits = match flight.target {
+                    let waits = match flight.access.target {
                         Some((slave, offset)) => {
-                            self.slaves[slave].wait_states(offset, flight.request.dir)
+                            self.slaves[slave].wait_states(offset, flight.access.request.dir)
                         }
                         None => 0,
                     };
@@ -389,14 +417,15 @@ impl<S: ApbSlave> ApbFabric<S> {
                 }
             };
             if finish {
+                let request = flight.access.request;
                 let result = self.complete(&flight);
                 self.masters[flight.master].response = Some(ApbResponse {
-                    request: flight.request,
+                    request,
                     result,
                     completed_cycle: self.cycle,
                 });
                 self.stats.transfers += 1;
-                match flight.request.dir {
+                match request.dir {
                     Dir::Read => self.stats.reads += 1,
                     Dir::Write => self.stats.writes += 1,
                 }
@@ -407,34 +436,20 @@ impl<S: ApbSlave> ApbFabric<S> {
 
         // Phase 2: grant new transfers on lanes idle at the start of the
         // cycle.
-        let decoded: Vec<Option<(usize, u32)>> = self
-            .masters
-            .iter()
-            .map(|p| p.pending.map(|r| self.map.decode(r.addr)).unwrap_or(None))
-            .collect();
-        #[allow(clippy::needless_range_loop)] // lane indexes two arrays
         for lane in 0..self.lanes.len() {
-            if !lanes_free_at_start[lane] || self.lanes[lane].is_some() {
+            if busy_at_start & 1 << lane != 0 {
                 continue;
             }
-            let requests: Vec<bool> = self
-                .masters
-                .iter()
-                .enumerate()
-                .map(|(m, p)| {
-                    p.pending.is_some() && self.lane_of(decoded[m]) == lane
-                })
-                .collect();
-            if let Some(granted) = self.arbiters[lane].grant(&requests) {
-                let request = self.masters[granted]
+            let requests = self.requests_in(lane);
+            if let Some(granted) = self.arbiters[lane].grant(requests) {
+                let access = self.masters[granted]
                     .pending
                     .take()
                     .expect("granted master has a pending request");
                 self.masters[granted].grants += 1;
                 self.lanes[lane] = Some(InFlight {
                     master: granted,
-                    target: decoded[granted],
-                    request,
+                    access,
                     phase: Phase::Setup,
                 });
             }
@@ -450,35 +465,38 @@ impl<S: ApbSlave> ApbFabric<S> {
         }
         // Busy = a transfer occupied a lane at the start of the cycle
         // (setup/access in progress) or was granted during it.
-        if lanes_free_at_start.iter().any(|&free| !free)
-            || self.lanes.iter().any(Option::is_some)
-        {
+        if busy_at_start != 0 || self.lanes.iter().any(Option::is_some) {
             self.stats.busy_cycles += 1;
         }
         self.cycle += 1;
     }
 
+    /// Masters whose pending request arbitrates in `lane`, as a
+    /// bit-per-master mask.
+    fn requests_in(&self, lane: usize) -> u64 {
+        self.masters
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.pending.is_some_and(|d| self.lane_of(d.target) == lane))
+            .fold(0, |mask, (m, _)| mask | 1 << m)
+    }
+
     fn complete(&mut self, flight: &InFlight) -> Result<u32, BusError> {
-        match flight.target {
+        let request = flight.access.request;
+        match flight.access.target {
             None => {
                 self.stats.decode_errors += 1;
-                Err(BusError::Decode {
-                    addr: flight.request.addr,
-                })
+                Err(BusError::Decode { addr: request.addr })
             }
             Some((slave, offset)) => {
-                if slave < 64 {
-                    self.touched |= 1 << slave;
-                }
-                let r = match flight.request.dir {
+                self.touched |= 1 << slave;
+                let r = match request.dir {
                     Dir::Read => self.slaves[slave].read(offset),
-                    Dir::Write => self.slaves[slave]
-                        .write(offset, flight.request.wdata)
-                        .map(|()| 0),
+                    Dir::Write => self.slaves[slave].write(offset, request.wdata).map(|()| 0),
                 };
                 if r.is_err() {
                     self.stats.slave_errors += 1;
-                } else if flight.request.dir == Dir::Write {
+                } else if request.dir == Dir::Write {
                     self.write_commits.push((slave, flight.master));
                 }
                 r
@@ -487,8 +505,7 @@ impl<S: ApbSlave> ApbFabric<S> {
     }
 
     /// Slaves whose `read`/`write` executed during the most recent
-    /// [`ApbFabric::tick`], as a bit-per-slave-index mask. Slave indexes
-    /// ≥ 64 are not representable (no SoC here comes close).
+    /// [`ApbFabric::tick`], as a bit-per-slave-index mask.
     pub fn touched_slaves(&self) -> u64 {
         self.touched
     }
@@ -525,24 +542,12 @@ impl<S: ApbSlave> ApbFabric<S> {
     /// bit-per-slave-index mask. A slave in this mask will be read or
     /// written on some upcoming tick unless the master withdraws.
     pub fn targeted_slaves(&self) -> u64 {
-        let mut mask = 0u64;
-        for port in &self.masters {
-            if let Some(req) = port.pending {
-                if let Some((slave, _)) = self.map.decode(req.addr) {
-                    if slave < 64 {
-                        mask |= 1 << slave;
-                    }
-                }
-            }
-        }
-        for flight in self.lanes.iter().flatten() {
-            if let Some((slave, _)) = flight.target {
-                if slave < 64 {
-                    mask |= 1 << slave;
-                }
-            }
-        }
-        mask
+        let pending = self.masters.iter().filter_map(|p| p.pending);
+        let in_flight = self.lanes.iter().flatten().map(|f| f.access);
+        pending
+            .chain(in_flight)
+            .filter_map(|a| a.target)
+            .fold(0, |mask, (slave, _)| mask | 1 << slave)
     }
 
     /// Drains per-master stall counts and aggregate transfer counts into an

@@ -238,9 +238,7 @@ mod tests {
     use super::*;
     use crate::model::PowerModel;
     use crate::Calibration;
-    use pels_sim::{
-        ActivityKind, ActivitySet, ActivityTimeline, ActivityWindow, ComponentId, Frequency,
-    };
+    use pels_sim::{ActivityKind, ActivitySet, ActivityTimeline, ComponentId, Frequency};
 
     fn model() -> PowerModel {
         let mut m = PowerModel::new(Calibration::default());
@@ -253,16 +251,8 @@ mod tests {
         let mut activity = ActivitySet::new();
         activity.record(ComponentId::intern("ibex"), ActivityKind::ClockCycle, 100);
         activity.record(ComponentId::intern("sram"), ActivityKind::SramRead, 300);
-        t.windows.push(ActivityWindow {
-            start_cycle: 0,
-            end_cycle: 100,
-            activity,
-        });
-        t.windows.push(ActivityWindow {
-            start_cycle: 100,
-            end_cycle: 100 + stretch,
-            activity: ActivitySet::new(),
-        });
+        t.push(0, 100, &activity);
+        t.push(100, 100 + stretch, &ActivitySet::new());
         PowerTimeline::from_activity(&model(), &t, Frequency::from_mhz(100.0))
     }
 

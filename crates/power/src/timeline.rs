@@ -8,7 +8,7 @@
 //! breakdown, ready for counter-track export or a terminal sparkline.
 
 use crate::model::{Kernel, PowerModel};
-use pels_sim::{ActivityTimeline, Frequency, SimTime};
+use pels_sim::{ActivitySet, ActivityTimeline, Frequency, SimTime};
 
 /// Power over one timeline window.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,22 +58,24 @@ impl PowerTimeline {
     /// low power, while a busy nominal-width window shows the peak.
     /// Every sample has the bits of [`PowerModel::report`] over its
     /// window; one evaluation kernel serves the whole timeline, so the
-    /// slot layout is resolved once and scratch buffers are reused.
+    /// slot layout is resolved once and scratch buffers are reused, and
+    /// each window is loaded into one reused activity set.
     pub fn from_activity(
         model: &PowerModel,
         timeline: &ActivityTimeline,
         clock: Frequency,
     ) -> Self {
         let mut kernel = Kernel::new(model);
+        let mut activity = ActivitySet::new();
         let samples = timeline
-            .windows
-            .iter()
+            .windows()
             .filter(|w| w.end_cycle > w.start_cycle)
             .map(|w| {
                 let start = clock.cycles(w.start_cycle);
                 let end = clock.cycles(w.end_cycle);
                 let duration = SimTime::from_ps(end.as_ps() - start.as_ps());
-                kernel.evaluate(&w.activity, duration);
+                w.load_into(&mut activity);
+                kernel.evaluate(&activity, duration);
                 let components = kernel
                     .components()
                     .iter()
@@ -138,7 +140,7 @@ impl PowerTimeline {
 mod tests {
     use super::*;
     use crate::Calibration;
-    use pels_sim::{ActivityKind, ActivitySet, ActivityWindow, ComponentId};
+    use pels_sim::{ActivityKind, ComponentId};
 
     fn model() -> PowerModel {
         let mut m = PowerModel::new(Calibration::default());
@@ -146,31 +148,31 @@ mod tests {
         m
     }
 
-    fn busy_window(start: u64, end: u64, reads: u64) -> ActivityWindow {
+    fn busy_activity(cycles: u64, reads: u64) -> ActivitySet {
         let mut activity = ActivitySet::new();
-        let cycles = end - start;
         activity.record(
             ComponentId::intern("ibex"),
             ActivityKind::ClockCycle,
             cycles,
         );
         activity.record(ComponentId::intern("sram"), ActivityKind::SramRead, reads);
-        ActivityWindow {
-            start_cycle: start,
-            end_cycle: end,
-            activity,
+        activity
+    }
+
+    /// A timeline whose first window `[0, busy)` is busy and, when
+    /// `idle_end > busy`, whose second window `[busy, idle_end)` is idle.
+    fn busy_then_idle(busy: u64, reads: u64, idle_end: u64) -> ActivityTimeline {
+        let mut t = ActivityTimeline::new(100);
+        t.push(0, busy, &busy_activity(busy, reads));
+        if idle_end > busy {
+            t.push(busy, idle_end, &ActivitySet::new());
         }
+        t
     }
 
     #[test]
     fn busy_windows_draw_more_than_idle_ones() {
-        let mut t = ActivityTimeline::new(100);
-        t.windows.push(busy_window(0, 100, 500));
-        t.windows.push(ActivityWindow {
-            start_cycle: 100,
-            end_cycle: 200,
-            activity: ActivitySet::new(),
-        });
+        let t = busy_then_idle(100, 500, 200);
         let clock = Frequency::from_mhz(100.0);
         let pt = PowerTimeline::from_activity(&model(), &t, clock);
         assert_eq!(pt.len(), 2);
@@ -188,14 +190,9 @@ mod tests {
     #[test]
     fn quiescence_stretched_window_averages_down() {
         // Same activity over 10x the span => ~10x less dynamic power.
-        let mut short = ActivityTimeline::new(100);
-        short.windows.push(busy_window(0, 100, 200));
+        let short = busy_then_idle(100, 200, 0);
         let mut long = ActivityTimeline::new(100);
-        long.windows.push({
-            let mut w = busy_window(0, 1000, 200);
-            w.activity = short.windows[0].activity.clone();
-            w
-        });
+        long.push(0, 1000, &busy_activity(100, 200));
         let clock = Frequency::from_mhz(100.0);
         let m = model();
         let ps = PowerTimeline::from_activity(&m, &short, clock);
@@ -205,13 +202,7 @@ mod tests {
 
     #[test]
     fn mean_is_time_weighted() {
-        let mut t = ActivityTimeline::new(100);
-        t.windows.push(busy_window(0, 100, 1000));
-        t.windows.push(ActivityWindow {
-            start_cycle: 100,
-            end_cycle: 1100, // 10x longer idle stretch
-            activity: ActivitySet::new(),
-        });
+        let t = busy_then_idle(100, 1000, 1100); // 10x longer idle stretch
         let pt = PowerTimeline::from_activity(&model(), &t, Frequency::from_mhz(100.0));
         let mean = pt.mean_total_uw();
         let naive = pt.total_series().iter().sum::<f64>() / 2.0;
@@ -228,13 +219,8 @@ mod tests {
         // One nominal-width busy window next to a 99x-stretched idle
         // window: the weighted mean must equal the hand-computed
         // Σ(p·d)/Σd, which sits very close to the idle power.
-        let mut t = ActivityTimeline::new(100);
-        t.windows.push(busy_window(0, 100, 1000));
-        t.windows.push(ActivityWindow {
-            start_cycle: 100,
-            end_cycle: 10_000, // quiescence-stretched: 99 windows' span
-            activity: ActivitySet::new(),
-        });
+        // Quiescence-stretched: the idle window spans 99 windows.
+        let t = busy_then_idle(100, 1000, 10_000);
         let pt = PowerTimeline::from_activity(&model(), &t, Frequency::from_mhz(100.0));
         let (busy, idle) = (pt.samples[0].total_uw, pt.samples[1].total_uw);
         let expected = (busy * 100.0 + idle * 9_900.0) / 10_000.0;
@@ -251,22 +237,25 @@ mod tests {
         // component that first appears mid-timeline and then vanishes.
         let m = model();
         let mut t = ActivityTimeline::new(100);
+        let mut windows = Vec::new();
         for (i, reads) in [0, 500, 3, 0, 77].into_iter().enumerate() {
-            let start = i as u64 * 100;
-            let mut w = busy_window(start, start + 100 + 37 * i as u64, reads);
+            let cycles = 100 + 37 * i as u64;
+            let mut activity = busy_activity(cycles, reads);
             if i == 2 {
-                w.activity.record_named("timeline.stray", ActivityKind::BusTransfer, 9);
+                activity.record_named("timeline.stray", ActivityKind::BusTransfer, 9);
             }
             if i == 3 {
-                w.activity = ActivitySet::new();
+                activity = ActivitySet::new();
             }
-            t.windows.push(w);
+            let start = i as u64 * 100;
+            t.push(start, start + cycles, &activity);
+            windows.push(activity);
         }
         let clock = Frequency::from_mhz(55.0);
         let pt = PowerTimeline::from_activity(&m, &t, clock);
-        assert_eq!(pt.len(), t.windows.len());
-        for (sample, w) in pt.samples.iter().zip(&t.windows) {
-            let report = m.report(&w.activity, sample.duration());
+        assert_eq!(pt.len(), t.len());
+        for (sample, activity) in pt.samples.iter().zip(&windows) {
+            let report = m.report(activity, sample.duration());
             assert_eq!(sample.total_uw.to_bits(), report.total().as_uw().to_bits());
             let want: Vec<(&str, u64)> = report
                 .components()
@@ -283,8 +272,7 @@ mod tests {
 
     #[test]
     fn component_names_are_sorted_union() {
-        let mut t = ActivityTimeline::new(10);
-        t.windows.push(busy_window(0, 10, 1));
+        let t = busy_then_idle(10, 1, 0);
         let pt = PowerTimeline::from_activity(&model(), &t, Frequency::from_mhz(50.0));
         let names = pt.component_names();
         assert!(names.contains(&"ibex"));

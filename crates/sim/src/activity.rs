@@ -257,18 +257,22 @@ impl ActivitySet {
         }
     }
 
-    /// Returns the difference `self - baseline` (saturating at zero), used
-    /// to isolate the activity of one measurement window.
-    pub fn delta_from(&self, baseline: &ActivitySet) -> ActivitySet {
-        let mut out = ActivitySet {
-            counts: self.counts.clone(),
-        };
-        for (mine, base) in out.counts.iter_mut().zip(&baseline.counts) {
+    /// Overwrites `self` with `current - baseline` (saturating at zero),
+    /// isolating the activity of one measurement window. The storage of
+    /// `self` is reused, so a delta recomputed every window allocates
+    /// nothing in the steady state.
+    pub fn assign_delta(&mut self, current: &ActivitySet, baseline: &ActivitySet) {
+        self.counts.clone_from(&current.counts);
+        for (mine, base) in self.counts.iter_mut().zip(&baseline.counts) {
             for (m, b) in mine.iter_mut().zip(base) {
                 *m = m.saturating_sub(*b);
             }
         }
-        out
+    }
+
+    /// Zeroes every counter, keeping the storage.
+    pub fn clear(&mut self) {
+        self.counts.clear();
     }
 
     /// Whether nothing has been recorded.
@@ -358,9 +362,15 @@ mod tests {
         let mut later = base.clone();
         later.record(x, ActivityKind::BusTransfer, 2);
         later.record(y, ActivityKind::EventPulse, 1);
-        let d = later.delta_from(&base);
+        // A scratch set holding a stale, wider image is overwritten.
+        let mut d = later.clone();
+        d.record(ComponentId::intern("act-dz"), ActivityKind::RegRead, 4);
+        d.assign_delta(&later, &base);
         assert_eq!(d.count_id(x, ActivityKind::BusTransfer), 2);
         assert_eq!(d.count_id(y, ActivityKind::EventPulse), 1);
+        assert_eq!(d.count("act-dz", ActivityKind::RegRead), 0);
+        d.clear();
+        assert!(d.is_empty());
     }
 
     #[test]

@@ -77,5 +77,5 @@ pub use intern::ComponentId;
 pub use rng::Rng;
 pub use scheduler::{Edge, Scheduler};
 pub use time::{Frequency, SimTime};
-pub use timeline::{ActivityTimeline, ActivityWindow};
+pub use timeline::{ActivityTimeline, TimelineWindow};
 pub use trace::{Trace, TraceEntry};

@@ -204,6 +204,19 @@ impl Trace {
         self.entries.clear();
     }
 
+    /// Reserves room for at least `additional` more entries, for a
+    /// caller that knows how much a run will record and wants the
+    /// recording loop free of reallocation.
+    pub fn reserve(&mut self, additional: usize) {
+        self.entries.reserve(additional);
+    }
+
+    /// Releases spare entry capacity — for a finished trace a report
+    /// keeps.
+    pub fn shrink_to_fit(&mut self) {
+        self.entries.shrink_to_fit();
+    }
+
     // ------------------------------------------------------------------
     // Causal flow layer (crate::flow). Every wrapper is a single branch
     // on the `Option` when flows are off — the pure-observation contract.

@@ -83,7 +83,9 @@ fn activity_merge_then_delta_roundtrips() {
     assert_eq!(merged.kind_total(ActivityKind::BusTransfer), 40);
 
     // Subtracting the baseline recovers exactly the window.
-    assert_eq!(merged.delta_from(&base), window);
+    let mut delta = ActivitySet::new();
+    delta.assign_delta(&merged, &base);
+    assert_eq!(delta, window);
     // And merging an empty set is the identity.
     merged.merge(&ActivitySet::new());
     assert_eq!(merged.count("ta-bus", ActivityKind::BusStall), 3);

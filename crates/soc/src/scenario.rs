@@ -695,10 +695,12 @@ impl Scenario {
             latency_hist.record(l);
         }
         let events_completed = soc.trace().all(marker.0, marker.1).len() as u32;
-        // Detach the flow record before cloning the trace into the
+        // Detach the flow record before moving the trace into the
         // report: flows are an analysis artifact, not part of the
         // architectural trace the differential suites compare.
         let flows = soc.trace_mut().take_flow_trace();
+        let mut trace = std::mem::take(soc.trace_mut());
+        trace.shrink_to_fit();
 
         // Idle window: identical configuration, timer disarmed, same
         // number of cycles.
@@ -757,7 +759,7 @@ impl Scenario {
             idle_activity,
             idle_window,
             pels: self.pels(),
-            trace: soc.trace().clone(),
+            trace,
             sched_stats,
             decode_cache_hits,
             decode_cache_misses,

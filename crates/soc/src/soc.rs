@@ -14,8 +14,8 @@ use pels_periph::{
     Watchdog,
 };
 use pels_sim::{
-    ActivityKind, ActivitySet, ActivityTimeline, ActivityWindow, ComponentId, EventVector,
-    Frequency, SimTime, Trace,
+    ActivityKind, ActivitySet, ActivityTimeline, ComponentId, EventVector, Frequency, SimTime,
+    Trace,
 };
 use std::fmt;
 
@@ -410,6 +410,8 @@ struct TimelineSampler {
     baseline: ActivitySet,
     /// `cpu_awake_cycles` at window start (for the gated-clock share).
     baseline_awake: u64,
+    /// The closing window's delta, rebuilt in place at every close.
+    scratch: ActivitySet,
     /// Windows captured so far.
     timeline: ActivityTimeline,
 }
@@ -1623,6 +1625,7 @@ impl Soc {
             next_boundary: self.cycle + window_cycles,
             baseline: ActivitySet::new(),
             baseline_awake: 0,
+            scratch: ActivitySet::new(),
             timeline: ActivityTimeline::new(window_cycles),
         }));
     }
@@ -1638,7 +1641,10 @@ impl Soc {
         if open {
             self.close_timeline_window();
         }
-        self.sampler.take().map(|s| s.timeline)
+        self.sampler.take().map(|mut s| {
+            s.timeline.shrink_to_fit();
+            s.timeline
+        })
     }
 
     /// Sampling hook on the run-loop observation points: one predictable
@@ -1657,23 +1663,20 @@ impl Soc {
     /// invariant, so extra syncs cannot change results), flushes
     /// component counters, and records the delta since the window's
     /// baseline plus the window's share of the clock accounting. The
-    /// clock share is added to the *delta copy only*; the cumulative set
-    /// and the drain counters stay untouched.
+    /// delta is built in the sampler's scratch set, so the clock share
+    /// never reaches the cumulative set or the drain counters, and a
+    /// close allocates only when the timeline arena grows.
     fn close_timeline_window(&mut self) {
         self.sync_slaves();
         self.flush_component_activity();
         let Some(mut s) = self.sampler.take() else {
             return;
         };
-        let mut delta = self.activity.delta_from(&s.baseline);
+        s.scratch.assign_delta(&self.activity, &s.baseline);
         let cycles = self.cycle - s.window_start;
         let awake = self.cpu_awake_cycles.saturating_sub(s.baseline_awake);
-        Self::record_clock_activity(&mut delta, &self.clock_ids, cycles, awake);
-        s.timeline.windows.push(ActivityWindow {
-            start_cycle: s.window_start,
-            end_cycle: self.cycle,
-            activity: delta,
-        });
+        Self::record_clock_activity(&mut s.scratch, &self.clock_ids, cycles, awake);
+        s.timeline.push(s.window_start, self.cycle, &s.scratch);
         s.window_start = self.cycle;
         s.next_boundary = self.cycle + s.window_cycles;
         s.baseline.clone_from(&self.activity);
@@ -2099,8 +2102,8 @@ mod tests {
         let ft = fast.take_timeline();
         let st = slow.take_timeline();
         assert_eq!(
-            ft.as_ref().map(|t| t.windows.iter().map(|w| (w.start_cycle, w.end_cycle)).collect::<Vec<_>>()),
-            st.as_ref().map(|t| t.windows.iter().map(|w| (w.start_cycle, w.end_cycle)).collect::<Vec<_>>()),
+            ft.as_ref().map(|t| t.windows().map(|w| (w.start_cycle, w.end_cycle)).collect::<Vec<_>>()),
+            st.as_ref().map(|t| t.windows().map(|w| (w.start_cycle, w.end_cycle)).collect::<Vec<_>>()),
             "window boundaries must match"
         );
         let fa = fast.drain_activity();

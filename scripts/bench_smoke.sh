@@ -23,6 +23,12 @@ echo "bench_smoke: active_path differential suite compiles OK"
 cargo test --workspace -q
 echo "bench_smoke: workspace tests OK"
 
+# perfbench is its own cargo workspace with path dependencies on
+# crates/*: build and test it here, so a change to an API it uses fails
+# this pass instead of the benchmark run.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+echo "bench_smoke: perfbench builds and its tests pass OK"
+
 # Superblock differential gate: run (not just compile) the suites that
 # prove bulk block retirement is observationally identical to
 # single-stepped execution — the SoC-level differential + IRQ sweep, the

@@ -75,12 +75,12 @@ fn timeline_sampling_never_perturbs_any_mediator() {
                 .run();
             assert!(plain.timeline.is_none(), "timelines are opt-in");
             let timeline = sampled.timeline.as_ref().expect("sampled timeline");
-            assert!(!timeline.windows.is_empty());
+            assert!(!timeline.is_empty());
             assert_eq!(timeline.window_cycles, window);
             // The windows partition the run: contiguous, in order, and
             // their activity sums to exactly the full-run image.
             let mut prev_end = 0;
-            for w in &timeline.windows {
+            for w in timeline.windows() {
                 assert_eq!(w.start_cycle, prev_end, "windows are contiguous");
                 assert!(w.end_cycle > w.start_cycle);
                 prev_end = w.end_cycle;

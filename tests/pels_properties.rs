@@ -159,10 +159,11 @@ fn round_robin_is_fair_for_any_subset() {
             continue;
         }
         cases += 1;
+        let mask = u64::from(subset) & ((1 << n) - 1);
         let mut rr = RoundRobin::new();
         let mut grants = vec![0u64; n];
         for _ in 0..rounds {
-            let g = rr.grant(&requests).expect("someone requests");
+            let g = rr.grant(mask).expect("someone requests");
             assert!(requests[g], "only requesters are granted");
             grants[g] += 1;
         }
