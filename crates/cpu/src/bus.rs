@@ -69,14 +69,15 @@ pub trait CpuBus {
     fn fetch(&mut self, addr: u32) -> u32;
 
     /// Reads the instruction word at `addr` with **no side effects** —
-    /// no fetch accounting, no activity charged. The superblock bulk
-    /// verifier peeks every word a sealed block covers before deciding
-    /// to execute it; the real fetch traffic is emitted afterwards (or
-    /// by the per-step path, on a mismatch).
+    /// no fetch accounting, no activity charged. The superblock verifier
+    /// peeks every word a sealed block covers before running it; the
+    /// fetches of the part that runs are charged afterwards through
+    /// [`CpuBus::charge_fetches`] (on a mismatch, the single-step path
+    /// fetches instead).
     fn peek_fetch(&self, addr: u32) -> u32;
 
     /// Charges `n` word fetches' accounting without transferring data:
-    /// the bulk verifier already peeked the words, so this emits the
+    /// the superblock verifier already peeked the words, so this emits the
     /// same fetch-count/activity side effects `n` [`CpuBus::fetch`]
     /// calls would, in one step.
     fn charge_fetches(&mut self, n: u32);

@@ -80,9 +80,9 @@ const SUPERBLOCK_ENTRIES: usize = 64;
 /// Maximum instructions chained into one superblock.
 const SUPERBLOCK_MAX_LEN: usize = 32;
 
-/// One decoded instruction inside a superblock: the decode plus the raw
-/// bits it came from, re-verified against a fresh fetch on every block
-/// execution (the same stale-decode defence as [`DecodedLine`]).
+/// One decoded instruction of a superblock chain: the decode plus the raw
+/// bits it came from, which sealing compiles into the block's verify plan
+/// (the same stale-decode defence as [`DecodedLine`]).
 #[derive(Debug, Clone, Copy)]
 struct BlockStep {
     pc: u32,
@@ -96,37 +96,6 @@ const INVALID_STEP: BlockStep = BlockStep {
     raw: 0,
     size: 0,
     instr: Instr::Fence,
-};
-
-/// How a fused step's raw bits sit in memory, precomputed at seal time so
-/// the per-step re-verify is a single fetch + compare on the hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FetchKind {
-    /// 32-bit instruction, word aligned: the whole word must match.
-    Word,
-    /// 16-bit parcel in the low half of its word.
-    LowHalf,
-    /// 16-bit parcel in the high half of its word.
-    HighHalf,
-    /// 32-bit instruction straddling a word boundary (second fetch).
-    Straddle,
-}
-
-/// Pre-resolved fetch/verify plan for one architectural instruction
-/// inside a fused superblock.
-#[derive(Debug, Clone, Copy)]
-struct StepFetch {
-    /// Word-aligned address of the (first) fetch.
-    aligned: u32,
-    /// Expected raw bits, positioned per `kind`.
-    raw: u32,
-    kind: FetchKind,
-}
-
-const INVALID_FETCH: StepFetch = StepFetch {
-    aligned: 0,
-    raw: 0,
-    kind: FetchKind::Word,
 };
 
 /// A specialized host-level operation compiled from one or two sealed
@@ -196,50 +165,33 @@ enum FusedOp {
     },
 }
 
-/// One element of a block's fused program: the op, which sealed steps it
-/// covers (a pair head retires alone through `execute` on a budget
-/// boundary or a stale second half), and the pc it retires to. The
-/// constituents' verify plans live in the parallel
-/// `BlockLine::fused_fetch` array so the bulk-verified fast path never
-/// touches them.
+/// One element of a block's fused program: the op, how many sealed steps
+/// it covers, the pc it retires to, and how much of the block's verify
+/// plan sequential execution has fetched once it retires.
 #[derive(Debug, Clone, Copy)]
 struct FusedEntry {
     op: FusedOp,
-    /// Index of the first covered step in `BlockLine::steps`.
-    step: u8,
     /// Architectural instructions covered (1 or 2).
     n: u8,
+    /// Words of `BlockLine::words` fetched through the end of this entry:
+    /// a program prefix ending here charges exactly these fetches.
+    words_end: u8,
     /// pc after the entry retires (control-flow ops override it).
     next_pc: u32,
 }
 
 const INVALID_FUSED: FusedEntry = FusedEntry {
     op: FusedOp::SetImm { rd: 0, value: 0 },
-    step: 0,
     n: 1,
+    words_end: 0,
     next_pc: 0,
-};
-
-/// Per-step verify plans of one fused entry (the per-step fallback path
-/// only — the bulk-verified fast path checks whole words instead).
-#[derive(Debug, Clone, Copy)]
-struct FusedFetch {
-    /// Verify plan of the first constituent.
-    fetch: StepFetch,
-    /// Verify plan of the second constituent (`n == 2` only).
-    fetch2: StepFetch,
-}
-
-const INVALID_FUSED_FETCH: FusedFetch = FusedFetch {
-    fetch: INVALID_FETCH,
-    fetch2: INVALID_FETCH,
 };
 
 /// Upper bound on distinct aligned words a block's sequential execution
 /// fetches: one per 4-byte step plus one for a trailing straddle.
 const SUPERBLOCK_MAX_WORDS: usize = SUPERBLOCK_MAX_LEN + 1;
 
-/// One word of a block's bulk-verify plan: which bits of the word belong
+/// One word of a block's verify plan: which bits of the word belong
 /// to instruction parcels, and what they must still hold. Bits outside
 /// `mask` (e.g. the unused half past a final compressed step) may change
 /// freely without staling the block.
@@ -256,37 +208,36 @@ const INVALID_WORD: VerifyWord = VerifyWord {
     mask: 0,
 };
 
-/// One superblock cache line: up to [`SUPERBLOCK_MAX_LEN`] consecutive
-/// decoded instructions starting at `start`, plus the fused program and
-/// bulk-verify plan compiled from them at seal time. As with the decode
-/// cache, an odd `start` can never match a real pc and marks the line
-/// invalid.
+/// One superblock cache line: the fused program and verify plan compiled
+/// at seal time from up to [`SUPERBLOCK_MAX_LEN`] consecutive decoded
+/// instructions starting at `start`. As with the decode cache, an odd
+/// `start` can never match a real pc and marks the line invalid.
 #[derive(Debug, Clone, Copy)]
 struct BlockLine {
     start: u32,
-    steps: [BlockStep; SUPERBLOCK_MAX_LEN],
+    /// Raw bits of the first step, so single-stepping can tell that an
+    /// up-to-date block already starts at its pc.
+    first_raw: u32,
     /// Entries of the fused program (each covers 1–2 steps).
     fused_len: u32,
     fused: [FusedEntry; SUPERBLOCK_MAX_LEN],
-    /// Verify plans parallel to `fused` (per-step fallback only).
-    fused_fetch: [FusedFetch; SUPERBLOCK_MAX_LEN],
-    /// Words of the bulk-verify plan, in fetch order.
+    /// Words of the verify plan, in fetch order.
     words_len: u32,
     words: [VerifyWord; SUPERBLOCK_MAX_WORDS],
-    /// Worst-case cycles the whole block can bill (every branch on its
-    /// slower outcome): a budget at or above this covers the block.
-    max_cycles: u32,
 }
+
+// `Cpu::new` writes all `SUPERBLOCK_ENTRIES` lines eagerly, so the line
+// size is construction cost: the noise-free counterpart of perfbench's
+// `soc.build` timing.
+const _: () = assert!(std::mem::size_of::<BlockLine>() <= 1_200);
 
 const INVALID_BLOCK: BlockLine = BlockLine {
     start: 1,
-    steps: [INVALID_STEP; SUPERBLOCK_MAX_LEN],
+    first_raw: 0,
     fused_len: 0,
     fused: [INVALID_FUSED; SUPERBLOCK_MAX_LEN],
-    fused_fetch: [INVALID_FUSED_FETCH; SUPERBLOCK_MAX_LEN],
     words_len: 0,
     words: [INVALID_WORD; SUPERBLOCK_MAX_WORDS],
-    max_cycles: 0,
 };
 
 /// In-progress superblock accumulator, grown as a side effect of
@@ -323,29 +274,14 @@ fn classify(instr: &Instr) -> StepClass {
     }
 }
 
-/// Precomputes a step's fetch/verify plan from its pc, size and raw bits.
-fn step_fetch(step: &BlockStep) -> StepFetch {
-    let aligned = step.pc & !3;
-    let kind = match (step.pc & 2 == 0, step.size) {
-        (true, 4) => FetchKind::Word,
-        (true, _) => FetchKind::LowHalf,
-        (false, 2) => FetchKind::HighHalf,
-        (false, _) => FetchKind::Straddle,
-    };
-    StepFetch {
-        aligned,
-        raw: step.raw,
-        kind,
-    }
-}
-
 /// Compiles sealed block steps into the block's fused program, returning
 /// the entry count. Each entry covers one step, or two when a fusable
-/// pattern matches (see [`fuse_pair`]).
+/// pattern matches (see [`fuse_pair`]); `words_end[i]` is the verify-plan
+/// word count through step `i` (see [`compile_words`]).
 fn compile_fused(
     steps: &[BlockStep],
+    words_end: &[u8; SUPERBLOCK_MAX_LEN],
     out: &mut [FusedEntry; SUPERBLOCK_MAX_LEN],
-    fetches: &mut [FusedFetch; SUPERBLOCK_MAX_LEN],
 ) -> u32 {
     let mut n = 0usize;
     let mut i = 0usize;
@@ -357,20 +293,12 @@ fn compile_fused(
             Some(op) => (op, 2usize),
             None => (fuse_one(&steps[i]), 1usize),
         };
-        let last = &steps[i + covered - 1];
+        let last = i + covered - 1;
         out[n] = FusedEntry {
             op,
-            step: i as u8,
             n: covered as u8,
-            next_pc: last.pc.wrapping_add(last.size),
-        };
-        fetches[n] = FusedFetch {
-            fetch: step_fetch(&steps[i]),
-            fetch2: if covered == 2 {
-                step_fetch(last)
-            } else {
-                INVALID_FETCH
-            },
+            words_end: words_end[last],
+            next_pc: steps[last].pc.wrapping_add(steps[last].size),
         };
         n += 1;
         i += covered;
@@ -378,15 +306,15 @@ fn compile_fused(
     n as u32
 }
 
-/// Compiles a block's bulk-verify plan: every aligned word its
-/// sequential execution fetches, in fetch order, with the bits covered
-/// by instruction parcels. Also returns the block's worst-case cycle
-/// bill (every branch taken on its slower outcome), so `run_block` can
-/// tell when a budget is guaranteed to cover the whole block.
+/// Compiles a block's verify plan: every aligned word its sequential
+/// execution fetches, in fetch order, with the bits covered by
+/// instruction parcels. Returns the word count and stores, per step, how
+/// many words execution has fetched once that step is fetched.
 fn compile_words(
     steps: &[BlockStep],
     out: &mut [VerifyWord; SUPERBLOCK_MAX_WORDS],
-) -> (u32, u32) {
+    words_end: &mut [u8; SUPERBLOCK_MAX_LEN],
+) -> u32 {
     fn push(
         out: &mut [VerifyWord; SUPERBLOCK_MAX_WORDS],
         n: &mut usize,
@@ -409,29 +337,24 @@ fn compile_words(
         }
     }
     let mut n = 0usize;
-    let mut max_cycles = 0u32;
-    for step in steps {
-        let fs = step_fetch(step);
-        match fs.kind {
-            FetchKind::Word => push(out, &mut n, fs.aligned, fs.raw, 0xFFFF_FFFF),
-            FetchKind::LowHalf => push(out, &mut n, fs.aligned, fs.raw, 0xFFFF),
-            FetchKind::HighHalf => push(out, &mut n, fs.aligned, fs.raw << 16, 0xFFFF_0000),
-            FetchKind::Straddle => {
-                push(out, &mut n, fs.aligned, (fs.raw & 0xFFFF) << 16, 0xFFFF_0000);
-                push(out, &mut n, fs.aligned + 4, fs.raw >> 16, 0xFFFF);
+    for (i, step) in steps.iter().enumerate() {
+        let aligned = step.pc & !3;
+        match (step.pc & 2 == 0, step.size) {
+            // 32-bit instruction, word aligned.
+            (true, 4) => push(out, &mut n, aligned, step.raw, 0xFFFF_FFFF),
+            // 16-bit parcel in the low half of its word.
+            (true, _) => push(out, &mut n, aligned, step.raw, 0xFFFF),
+            // 16-bit parcel in the high half of its word.
+            (false, 2) => push(out, &mut n, aligned, step.raw << 16, 0xFFFF_0000),
+            // 32-bit instruction straddling a word boundary.
+            (false, _) => {
+                push(out, &mut n, aligned, (step.raw & 0xFFFF) << 16, 0xFFFF_0000);
+                push(out, &mut n, aligned + 4, step.raw >> 16, 0xFFFF);
             }
         }
-        max_cycles += match step.instr {
-            Instr::MulDiv { op, .. } => match op {
-                MulDivOp::Mul | MulDivOp::Mulh | MulDivOp::Mulhsu | MulDivOp::Mulhu => timing::MUL,
-                _ => timing::DIV,
-            },
-            Instr::Jal { .. } | Instr::Jalr { .. } => timing::JUMP,
-            Instr::Branch { .. } => timing::BRANCH_TAKEN.max(timing::BRANCH_NOT_TAKEN),
-            _ => timing::ALU,
-        };
+        words_end[i] = n as u8;
     }
-    (n as u32, max_cycles)
+    n as u32
 }
 
 /// Specializes one block step: register indices and immediates lifted
@@ -496,9 +419,9 @@ fn fuse_one(step: &BlockStep) -> FusedOp {
 }
 
 /// Tries to fuse two adjacent steps into one op. Every pattern has a
-/// zero-stall ALU head writing `rd != x0` (so the budget-boundary and
-/// stale-second fallbacks can retire the head standalone, and so the
-/// `x0` discard special case can't change semantics):
+/// zero-stall ALU head writing `rd != x0` (so only the second
+/// constituent bills a stall, and the `x0` discard special case can't
+/// change semantics):
 ///
 /// - `lui rd, hi` + `addi rd, rd, lo`: the folded 32-bit constant;
 /// - `op1 rd, rs1, imm1` + `op2 rd, rd, imm2`: an ALU-immediate chain
@@ -588,8 +511,9 @@ pub struct SuperblockStats {
     pub block_instrs: u64,
     /// Cycles billed in bulk by [`Cpu::run_block`].
     pub block_cycles: u64,
-    /// Raw-bits re-verification failures (self-modified code caught at
-    /// block execution time).
+    /// Stale blocks dropped by [`Cpu::run_block`]'s verify: a raw-bits
+    /// mismatch against memory (self-modified code). The instruction is
+    /// then left to [`Cpu::tick`].
     pub verify_aborts: u64,
     /// Fused ops executed by the fused tier (each covers 1–2 retired
     /// instructions).
@@ -631,19 +555,14 @@ pub struct Cpu {
     dcache_misses: u64,
     /// Direct-mapped superblock cache: chains of decoded instructions
     /// executed and billed in bulk by [`Cpu::run_block`]. Like the decode
-    /// cache, purely a host-side accelerator — every step re-verifies its
-    /// raw bits against a fresh fetch, so execution is bit-identical with
-    /// blocks on or off.
+    /// cache, purely a host-side accelerator — a block's raw bits are
+    /// verified against memory before it runs, so execution is
+    /// bit-identical with blocks on or off.
     blocks: Box<[BlockLine; SUPERBLOCK_ENTRIES]>,
     /// Superblock under construction (grown during single-step execution).
     chain: Box<BlockChain>,
     sb_enabled: bool,
     sb: SuperblockStats,
-    /// A fetch completed by `run_block`'s verify step whose instruction
-    /// could not execute inside the block (the raw bits were stale):
-    /// `(pc, raw, size)` handed to the next `fetch_decode` so the fetch
-    /// traffic already paid is not paid again.
-    handoff: Option<(u32, u32, u32)>,
     // Statistics / activity.
     cycles: u64,
     retired: u64,
@@ -687,7 +606,6 @@ impl Cpu {
             }),
             sb_enabled: true,
             sb: SuperblockStats::default(),
-            handoff: None,
             cycles: 0,
             retired: 0,
             fetches: 0,
@@ -838,8 +756,8 @@ impl Cpu {
     }
 
     /// Invalidates every decoded-instruction cache line and superblock
-    /// (the `fence.i` path; stores need no invalidation because hits and
-    /// block steps re-verify the raw instruction bits).
+    /// (the `fence.i` path; stores need no invalidation because decode
+    /// hits and blocks verify the raw instruction bits).
     fn flush_decode_cache(&mut self) {
         self.dcache.fill(INVALID_LINE);
         self.flush_superblocks();
@@ -977,14 +895,13 @@ impl Cpu {
     ///   (see [`StepClass`]) — nothing that can touch the bus, CSRs,
     ///   `mie`/`mstatus`, or trap — so one interrupt-deliverability check
     ///   on entry covers the whole span;
-    /// - a block whose worst-case cycles fit the budget is verified word
-    ///   by word in one side-effect-free sweep, then runs its fused
-    ///   program with the sweep's exact fetch accounting;
-    /// - otherwise each fused entry re-fetches its raw bits through the
-    ///   prefetch buffer (the exact traffic `fetch_decode` would
-    ///   generate) and verifies them; a mismatch (self-modified code)
-    ///   aborts the block and hands the already-fetched bits to the next
-    ///   `fetch_decode`;
+    /// - each block is verified word by word in one side-effect-free
+    ///   sweep; a stale block (self-modified code) is dropped, and `tick`
+    ///   fetches and runs its first instruction as single-stepping does;
+    /// - a verified block runs the longest prefix of its fused program
+    ///   the budget covers, then charges exactly the fetches of that
+    ///   prefix (`FusedEntry::words_end`); whatever does not fit is left
+    ///   to `tick`;
     /// - an instruction's trailing stall is converted to bulk cycles only
     ///   up to the budget; any remainder stays in `stall` for the
     ///   per-cycle path, exactly as if the budget boundary had fallen
@@ -1009,100 +926,39 @@ impl Cpu {
         let irq_deliverable =
             self.csrs.interrupts_enabled() && self.csrs.pending_interrupt().is_some();
         if !irq_deliverable {
-            // Bulk-verified blocks, by cache index: nothing inside
-            // `run_block` can write memory (block steps are
-            // register-only or control flow), so a block verified once
-            // stays verified for the whole call — repeat iterations of a
-            // hot loop charge the sweep's fetch accounting without
-            // re-comparing.
+            // Verified blocks, by cache index: nothing inside `run_block`
+            // can write memory (block steps are register-only or control
+            // flow), so a block verified once stays verified for the
+            // whole call and repeat iterations of a hot loop skip the
+            // sweep.
             let mut verified: u64 = 0;
-            'blocks: while used < budget {
+            while used < budget {
                 let idx = (self.pc >> 1) as usize & (SUPERBLOCK_ENTRIES - 1);
                 if self.blocks[idx].start != self.pc {
                     break;
                 }
                 self.sb.block_runs += 1;
-                let flen = self.blocks[idx].fused_len as usize;
-                // Budget covers the block even on its worst-case
-                // timing path: verify every word once up front, then
-                // execute the fused program with no per-step
-                // re-verify or budget checks. On a verify miss,
-                // `bulk_verify` backs out with no side effects and
-                // the per-step loop below aborts bit-exactly.
-                let covered = budget - used >= u64::from(self.blocks[idx].max_cycles);
-                let clean = covered
-                    && if verified & (1 << idx) != 0 {
-                        // Already verified this call: charge the
-                        // sweep's exact fetch accounting. Memory is
-                        // frozen for the whole call, so the word
-                        // values (including the last word re-peeked
-                        // into the prefetch buffer) are unchanged.
-                        let wl = self.blocks[idx].words_len as usize;
-                        let first = self.blocks[idx].words[0].aligned;
-                        let last = self.blocks[idx].words[wl - 1].aligned;
-                        let hit0 = matches!(self.fetch_buf, Some((a, _)) if a == first);
-                        let misses = wl as u32 - u32::from(hit0);
-                        self.fetches += u64::from(misses);
-                        bus.charge_fetches(misses);
-                        self.fetch_buf = Some((last, bus.peek_fetch(last)));
-                        true
-                    } else {
-                        let ok = self.bulk_verify(idx, bus);
-                        if ok {
-                            verified |= 1 << idx;
-                        }
-                        ok
-                    };
-                if clean {
-                    for e in 0..flen {
-                        let entry = self.blocks[idx].fused[e];
-                        used += self.execute_fused(&entry, budget - used);
+                if verified & (1 << idx) == 0 {
+                    if !self.verify_block(idx, bus) {
+                        break;
                     }
-                    continue;
+                    verified |= 1 << idx;
                 }
-                // Per-step fallback (budget boundary inside the block,
-                // or a verify miss): each entry re-verifies its raw bits
-                // (the exact fetch traffic `fetch_decode` would
-                // generate) before executing, so budget boundaries and
-                // self-modifying code stop the block bit-exactly.
-                for e in 0..flen {
-                    if used == budget {
-                        break 'blocks;
-                    }
-                    let entry = self.blocks[idx].fused[e];
-                    debug_assert_eq!(
-                        self.pc, self.blocks[idx].steps[entry.step as usize].pc,
-                        "fused program tracks the step layout"
-                    );
-                    let ff = self.blocks[idx].fused_fetch[e];
-                    if let Some((raw, size)) = self.verify_step(ff.fetch, bus) {
-                        self.abort_block(idx, self.pc, raw, size);
-                        break 'blocks;
-                    }
-                    if entry.n == 2 {
-                        let room = budget - used >= 2;
-                        let stale = if room { self.verify_step(ff.fetch2, bus) } else { None };
-                        if !room || stale.is_some() {
-                            // No room for both halves, or the second
-                            // half went stale: retire the head alone
-                            // through `execute`. Pair heads are
-                            // zero-stall register-only ALU ops, so it
-                            // fits one cycle, and fetching the second
-                            // half first is traffic-identical to the
-                            // generic order. A stale half then aborts at
-                            // its own pc with the fresh bits.
-                            let step = self.blocks[idx].steps[entry.step as usize];
-                            self.execute(step.instr, step.size, bus);
-                            self.sb.block_instrs += 1;
-                            debug_assert_eq!(self.stall, 0);
-                            used += 1;
-                            if let Some((raw, size)) = stale {
-                                self.abort_block(idx, self.pc, raw, size);
-                            }
-                            break 'blocks;
-                        }
+                let flen = self.blocks[idx].fused_len as usize;
+                let mut ran = 0;
+                let mut words_end = 0;
+                while ran < flen {
+                    let entry = self.blocks[idx].fused[ran];
+                    if budget - used < u64::from(entry.n) {
+                        break;
                     }
                     used += self.execute_fused(&entry, budget - used);
+                    words_end = entry.words_end;
+                    ran += 1;
+                }
+                self.charge_words(idx, words_end, bus);
+                if ran < flen {
+                    break;
                 }
             }
         }
@@ -1112,122 +968,62 @@ impl Cpu {
         used
     }
 
-    /// Verifies every covered instruction bit of the sealed block at
-    /// `idx` in one sweep. Phase one peeks each word of the block's
-    /// verify plan with no side effects (the first word may still sit in
-    /// the prefetch buffer, whose contents are what the per-step path
-    /// would compare against); on a full match, phase two charges
-    /// exactly the fetch accounting the per-step path's sequential
-    /// `fetch_word` calls would generate and returns `true`. On any
-    /// mismatch it
-    /// returns `false` with **no** side effects, so the per-step loop
-    /// re-verifies and aborts bit-exactly.
-    fn bulk_verify(&mut self, idx: usize, bus: &mut impl CpuBus) -> bool {
-        let wlen = self.blocks[idx].words_len as usize;
-        let mut misses = 0u32;
-        let mut last = (0u32, 0u32);
-        for w in 0..wlen {
-            let vw = self.blocks[idx].words[w];
-            let word = match self.fetch_buf {
-                // Only the first fetch can hit the buffer: every later
-                // word is read right after its predecessor replaced it.
-                Some((a, v)) if w == 0 && a == vw.aligned => v,
-                _ => {
-                    misses += 1;
-                    bus.peek_fetch(vw.aligned)
-                }
-            };
-            if (word ^ vw.expected) & vw.mask != 0 {
-                return false;
-            }
-            last = (vw.aligned, word);
+    /// Checks every covered instruction bit of the sealed block at `idx`
+    /// with no side effects: the first word against the prefetch buffer
+    /// when the buffer still holds it (its contents are what
+    /// `fetch_decode` would use), every other word against memory. A
+    /// stale block is dropped and counted in `verify_aborts`; nothing was
+    /// fetched, so the next [`Cpu::tick`] fetches and decodes exactly as
+    /// single-stepping would.
+    fn verify_block(&mut self, idx: usize, bus: &impl CpuBus) -> bool {
+        let line = &self.blocks[idx];
+        let buf = self.fetch_buf;
+        let stale = line.words[..line.words_len as usize]
+            .iter()
+            .enumerate()
+            .any(|(w, vw)| {
+                let word = match buf {
+                    // Only the first fetch can hit the buffer: every
+                    // later word is read right after its predecessor
+                    // replaced it.
+                    Some((a, v)) if w == 0 && a == vw.aligned => v,
+                    _ => bus.peek_fetch(vw.aligned),
+                };
+                (word ^ vw.expected) & vw.mask != 0
+            });
+        if stale {
+            self.sb.verify_aborts += 1;
+            self.blocks[idx].start = 1;
         }
-        if wlen > 0 {
-            // Emit the sweep's exact fetch accounting in one step: every
-            // peeked word is one fetch the per-step path would issue, and
-            // the buffer ends holding the block's last word.
+        !stale
+    }
+
+    /// Charges the fetch accounting of a block prefix that sequential
+    /// execution covers with the first `words_end` words of the verify
+    /// plan: one fetch per word, except a first word still in the
+    /// prefetch buffer. The buffer ends holding the last charged word
+    /// (unchanged when nothing was fetched).
+    fn charge_words(&mut self, idx: usize, words_end: u8, bus: &mut impl CpuBus) {
+        if words_end == 0 {
+            return;
+        }
+        let words = &self.blocks[idx].words;
+        let first = words[0].aligned;
+        let last = words[usize::from(words_end) - 1].aligned;
+        let hit0 = matches!(self.fetch_buf, Some((a, _)) if a == first);
+        let misses = u32::from(words_end) - u32::from(hit0);
+        if misses > 0 {
             self.fetches += u64::from(misses);
             bus.charge_fetches(misses);
-            self.fetch_buf = Some(last);
+            self.fetch_buf = Some((last, bus.peek_fetch(last)));
         }
-        true
-    }
-
-    /// Verifies one fused step's raw bits against a fresh fetch through
-    /// the prefetch buffer, generating exactly the traffic
-    /// [`Cpu::fetch_decode`] would. Returns `None` when the bits match;
-    /// on a mismatch returns the freshly reconstructed `(raw, size)` for
-    /// the abort handoff — including the second fetch of a straddling
-    /// replacement, and skipping it when the replacement is compressed,
-    /// just as the generic fetch path would.
-    fn verify_step(&mut self, fs: StepFetch, bus: &mut impl CpuBus) -> Option<(u32, u32)> {
-        let word = self.fetch_word(fs.aligned, bus);
-        match fs.kind {
-            FetchKind::Word => {
-                if word == fs.raw {
-                    return None;
-                }
-                let low = (word & 0xFFFF) as u16;
-                Some(if is_compressed(low) {
-                    (u32::from(low), 2)
-                } else {
-                    (word, 4)
-                })
-            }
-            FetchKind::LowHalf => {
-                if word & 0xFFFF == fs.raw {
-                    return None;
-                }
-                let low = (word & 0xFFFF) as u16;
-                Some(if is_compressed(low) {
-                    (u32::from(low), 2)
-                } else {
-                    (word, 4)
-                })
-            }
-            FetchKind::HighHalf => {
-                if word >> 16 == fs.raw {
-                    return None;
-                }
-                let low = (word >> 16) as u16;
-                Some(if is_compressed(low) {
-                    (u32::from(low), 2)
-                } else {
-                    let next = self.fetch_word(fs.aligned + 4, bus);
-                    (u32::from(low) | (next << 16), 4)
-                })
-            }
-            FetchKind::Straddle => {
-                let low = (word >> 16) as u16;
-                if is_compressed(low) {
-                    // The first parcel turned compressed: the generic
-                    // path would never issue the second fetch.
-                    return Some((u32::from(low), 2));
-                }
-                let next = self.fetch_word(fs.aligned + 4, bus);
-                let raw = u32::from(low) | (next << 16);
-                if raw == fs.raw {
-                    None
-                } else {
-                    Some((raw, 4))
-                }
-            }
-        }
-    }
-
-    /// Drops the block at `idx` (stale raw bits caught by the verify)
-    /// and hands the freshly fetched bits at `pc` to the next
-    /// `fetch_decode` so the fetch traffic already paid is not repeated.
-    fn abort_block(&mut self, idx: usize, pc: u32, raw: u32, size: u32) {
-        self.sb.verify_aborts += 1;
-        self.blocks[idx].start = 1;
-        self.handoff = Some((pc, raw, size));
     }
 
     /// Executes one fused entry, updating architectural state and
     /// accounting exactly as its constituent instructions would through
-    /// `execute` + stall ticks, and returns the cycles consumed (`>= entry.n`; a stall remainder past `remaining`
-    /// stays in `stall` for the per-cycle path). The caller guarantees
+    /// `execute` + stall ticks, and returns the cycles consumed
+    /// (`>= entry.n`; a stall remainder past `remaining` stays in
+    /// `stall` for the per-cycle path). The caller guarantees
     /// `remaining >= entry.n`. Fused ops are register-only or
     /// block-sealing control flow, so the pipeline stays `Running`.
     fn execute_fused(&mut self, entry: &FusedEntry, remaining: u64) -> u64 {
@@ -1395,7 +1191,7 @@ impl Cpu {
             // single-stepped iteration).
             let idx = (pc >> 1) as usize & (SUPERBLOCK_ENTRIES - 1);
             let line = &self.blocks[idx];
-            if line.start == pc && line.steps[0].raw == raw {
+            if line.start == pc && line.first_raw == raw {
                 return;
             }
             self.chain.start = pc;
@@ -1421,14 +1217,13 @@ impl Cpu {
         }
         let start = self.chain.start;
         let idx = (start >> 1) as usize & (SUPERBLOCK_ENTRIES - 1);
+        let steps = &self.chain.steps[..len as usize];
         let line = &mut self.blocks[idx];
         line.start = start;
-        line.steps[..len as usize].copy_from_slice(&self.chain.steps[..len as usize]);
-        line.fused_len =
-            compile_fused(&self.chain.steps[..len as usize], &mut line.fused, &mut line.fused_fetch);
-        let (wlen, max_cycles) = compile_words(&self.chain.steps[..len as usize], &mut line.words);
-        line.words_len = wlen;
-        line.max_cycles = max_cycles;
+        line.first_raw = steps[0].raw;
+        let mut words_end = [0u8; SUPERBLOCK_MAX_LEN];
+        line.words_len = compile_words(steps, &mut line.words, &mut words_end);
+        line.fused_len = compile_fused(steps, &words_end, &mut line.fused);
         self.sb.blocks_built += 1;
     }
 
@@ -1451,18 +1246,6 @@ impl Cpu {
     /// chain builder.
     fn fetch_decode(&mut self, bus: &mut impl CpuBus) -> Result<(Instr, u32, u32), DecodeError> {
         let pc = self.pc;
-        // A block verify abort already fetched this instruction's bits;
-        // reuse them so the fetch traffic is not paid twice.
-        if let Some((hpc, raw, size)) = self.handoff.take() {
-            if hpc == pc {
-                let instr = if size == 2 {
-                    decode_compressed(raw as u16, pc)?
-                } else {
-                    decode(raw, pc)?
-                };
-                return Ok((instr, raw, size));
-            }
-        }
         let aligned = pc & !3;
         let word = self.fetch_word(aligned, bus);
         let low_half = if pc & 2 == 0 {

@@ -105,14 +105,13 @@ fn self_modifying_run_is_cycle_identical_with_cache_on_and_off() {
     assert_eq!((off_hits, off_misses), (0, 0), "disabled cache stays cold");
 }
 
-#[test]
-fn compressed_and_straddling_loop_identical_with_cache_on_and_off() {
-    // A loop mixing a compressed parcel, a 32-bit instruction straddling
-    // the word boundary (second fetch), a realigning c.nop and a
-    // backward branch — the prefetch-buffer accounting cases. Ten
-    // iterations give the cache plenty of hits.
+/// A loop mixing a compressed parcel, a 32-bit instruction straddling
+/// the word boundary (second fetch), a realigning c.nop and a backward
+/// branch — the prefetch-buffer accounting cases. Loops until
+/// `x7 == x8`.
+fn compressed_straddling_loop() -> [u32; 5] {
     let addi6 = asm::addi(6, 6, 1);
-    let p = [
+    [
         // 0x0: c.addi x5,1 | 0x2: addi x6,x6,1 (straddles into word 1)
         pack16(0x0285, (addi6 & 0xFFFF) as u16),
         // 0x6: c.nop
@@ -120,7 +119,13 @@ fn compressed_and_straddling_loop_identical_with_cache_on_and_off() {
         asm::addi(7, 7, 1),   // 0x8
         asm::bne(7, 8, -0xC), // 0xC: loop while x7 != x8
         asm::ecall(),         // 0x10
-    ];
+    ]
+}
+
+#[test]
+fn compressed_and_straddling_loop_identical_with_cache_on_and_off() {
+    // Ten iterations give the cache plenty of hits.
+    let p = compressed_straddling_loop();
     let run = |cache: bool| {
         let (mut cpu, mut bus) = fresh(&p, cache);
         // The hit-rate assertion below is about the decode cache, which
@@ -260,9 +265,9 @@ fn self_modifying_code_across_block_boundary_with_fence_i() {
 
 #[test]
 fn self_modifying_code_across_block_boundary_without_fence_i() {
-    // No fence: the stale sealed block is only caught by the per-step
-    // raw-bits re-verify, which must abort the block rather than replay
-    // the overwritten decode.
+    // No fence: the stale sealed block is only caught by the block's
+    // raw-bits verify, which must drop the block rather than replay the
+    // overwritten decode.
     let p = block_patch_program(false);
     let (mut cpu, mut bus) = fresh(&p, true);
     cpu.run(&mut bus, 0, 300);
@@ -291,6 +296,15 @@ fn block_patch_retires_identical_streams_in_both_modes() {
             assert_eq!(on.reg(r), off.reg(r), "{ctx}: x{r}");
         }
         assert_eq!(on.halt_cause(), off.halt_cause(), "{ctx}: halt cause");
+        // Ragged budgets: a stale word can lie past a budget's horizon.
+        let on = fused_lockstep(&p, 0);
+        assert_eq!(on.reg(5), 99, "{ctx}: patched mid-block instruction ran");
+        if !with_fence {
+            assert!(
+                on.superblock_stats().verify_aborts >= 1,
+                "{ctx}: stale block dropped"
+            );
+        }
     }
 }
 
@@ -324,10 +338,47 @@ fn disabling_flushes_and_resets_stats() {
     assert_eq!(cpu.decode_cache_stats(), (0, 0));
 }
 
+/// Ragged cycle budgets for the lockstep differentials.
+const RAGGED_BUDGETS: [u64; 15] = [1, 2, 3, 5, 7, 1, 4, 32, 2, 9, 64, 1, 1, 3, 128];
+
+/// Advances `p` with fused superblocks and single-stepped, in lockstep
+/// over [`RAGGED_BUDGETS`] until it halts, with register `x8` (the
+/// programs' loop bound) preset on both cores. Every observable must
+/// agree at every budget boundary. Returns the fused core.
+fn fused_lockstep(p: &[u32], x8: u32) -> Cpu {
+    let (mut fused, mut bus_fused) = fresh(p, true);
+    let (mut single, mut bus_single) = fresh(p, true);
+    single.set_superblocks_enabled(false);
+    for cpu in [&mut fused, &mut single] {
+        cpu.set_reg(8, x8);
+    }
+    'outer: loop {
+        for &k in &RAGGED_BUDGETS {
+            fused.run(&mut bus_fused, 0, k);
+            single.run(&mut bus_single, 0, k);
+            assert_eq!(fused.cycles(), single.cycles(), "cycles at {k}");
+            assert_eq!(fused.retired(), single.retired(), "retired at {k}");
+            assert_eq!(fused.pc(), single.pc(), "pc at {k}");
+            assert_eq!(fused.halt_cause(), single.halt_cause(), "halt at {k}");
+            assert_eq!(bus_fused.fetches, bus_single.fetches, "fetches at {k}");
+            for r in 0..32 {
+                assert_eq!(fused.reg(r), single.reg(r), "x{r} at {k}");
+            }
+            if fused.halt_cause().is_some() {
+                break 'outer;
+            }
+        }
+    }
+    fused
+}
+
 /// Lockstep: fused superblocks and single-stepping advanced in ragged
-/// cycle budgets must agree on every observable at every budget boundary — including boundaries that land
-/// on a fused pair's head (the one-cycle-left fallback) and mid-stall
-/// inside a `div`.
+/// cycle budgets must agree on every observable at every budget
+/// boundary — including boundaries that land on a fused pair's head
+/// (one cycle left: the pair is left to `tick`), mid-stall inside a
+/// `div`, right after a straddling 32-bit step, and inside a word that
+/// two compressed parcels share (where a block prefix's fetch charge is
+/// hardest to get right).
 #[test]
 fn fused_execution_matches_single_step_at_every_budget() {
     // Dense in fusable patterns: a lui+addi pair, a same-rd ALU-imm
@@ -345,34 +396,15 @@ fn fused_execution_matches_single_step_at_every_budget() {
         asm::bne(12, 0, -0x24), // 0x24 ┘ loop while x10 < x8
         asm::ecall(),           // 0x28
     ];
-    let (mut fused, mut bus_fused) = fresh(&p, true);
-    let (mut single, mut bus_single) = fresh(&p, true);
-    single.set_superblocks_enabled(false);
-    for cpu in [&mut fused, &mut single] {
-        cpu.set_reg(8, 21);
-    }
-    let budgets = [1u64, 2, 3, 5, 7, 1, 4, 32, 2, 9, 64, 1, 1, 3, 128];
-    'outer: loop {
-        for &k in &budgets {
-            fused.run(&mut bus_fused, 0, k);
-            single.run(&mut bus_single, 0, k);
-            assert_eq!(fused.cycles(), single.cycles(), "cycles at {k}");
-            assert_eq!(fused.retired(), single.retired(), "retired at {k}");
-            assert_eq!(fused.pc(), single.pc(), "pc at {k}");
-            assert_eq!(fused.halt_cause(), single.halt_cause(), "halt at {k}");
-            assert_eq!(bus_fused.fetches, bus_single.fetches, "fetches at {k}");
-            for r in 0..32 {
-                assert_eq!(fused.reg(r), single.reg(r), "x{r} at {k}");
-            }
-            if fused.halt_cause().is_some() {
-                break 'outer;
-            }
-        }
-    }
+    let fused = fused_lockstep(&p, 21);
     assert_eq!(fused.halt_cause(), Some(HaltCause::Ecall));
     let s = fused.superblock_stats();
     assert!(s.fused_pairs > 0, "the workload exercised pair fusion: {s:?}");
     assert!(s.fused_ops > s.fused_pairs, "single fused ops ran too: {s:?}");
+    let fused = fused_lockstep(&compressed_straddling_loop(), 10);
+    assert_eq!(fused.halt_cause(), Some(HaltCause::Ecall));
+    assert_eq!((fused.reg(5), fused.reg(6), fused.reg(7)), (10, 10, 10));
+    assert!(fused.superblock_stats().block_instrs > 0, "blocks ran");
 }
 
 /// Patches the *second half* of a fused lui+addi pair through a store,
@@ -393,12 +425,12 @@ fn fused_execution_matches_single_step_at_every_budget() {
 /// 0x68 jal  0x14
 /// ```
 ///
-/// The fused entry must retire the still-valid head generically (the
-/// architectural `lui` executes), abort on the stale second half, and
-/// hand the patched instruction to the generic frontend — bit-identical
-/// to single-stepped execution. The patched instruction
-/// accumulates into `x5`, so the final value proves the head executed
-/// exactly once on the aborting run: 0x1000 (the re-run `lui`) + 99.
+/// The block's verify must catch the stale second half before anything
+/// runs and drop the block, leaving the still-valid `lui` and the
+/// patched `addi` to single-stepping — bit-identical to single-stepped
+/// execution. The patched instruction accumulates into `x5`, so the
+/// final value proves the head executed exactly once on the aborting
+/// run: 0x1000 (the re-run `lui`) + 99.
 fn pair_patch_program() -> Vec<u32> {
     let mut p = vec![0u32; 0x6C / 4];
     let mut at = |addr: usize, words: &[u32]| {
@@ -453,4 +485,11 @@ fn pair_patch_retires_identical_streams_fused_and_single_step() {
     for r in 0..32 {
         assert_eq!(fused.reg(r), single.reg(r), "x{r}");
     }
+    // Ragged budgets: a stale word can lie past a budget's horizon.
+    let fused = fused_lockstep(&p, 0);
+    assert_eq!(fused.reg(5), 0x1000 + 99, "ragged budgets");
+    assert!(
+        fused.superblock_stats().verify_aborts >= 1,
+        "stale block dropped"
+    );
 }

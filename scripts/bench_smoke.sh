@@ -12,14 +12,10 @@ cd "$(dirname "$0")/.."
 cargo bench -q -p pels-bench --bench sim_throughput -- --sample-size 10
 echo "bench_smoke: sim_throughput OK"
 
-# Compile guard: the ExecMode differential switch (ScenarioBuilder::
-# exec_mode + Soc::set_naive_scheduling + Cpu::set_decode_cache_enabled)
-# must keep compiling — the differential tests and the *_naive bench
-# groups are the only proof the fast path is observationally invisible.
-cargo test -q --test active_path --no-run
-echo "bench_smoke: active_path differential suite compiles OK"
-
-# Every test of every workspace crate, not only the root package's.
+# Every test of every workspace crate, not only the root package's —
+# including the differential suites (active_path, decode_cache,
+# obs_invariance, the pels-soc sprint tests, flow_invariance,
+# flow_properties, lifetime_invariance, desc_fuzz).
 cargo test --workspace -q
 echo "bench_smoke: workspace tests OK"
 
@@ -29,46 +25,9 @@ echo "bench_smoke: workspace tests OK"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 echo "bench_smoke: perfbench builds and its tests pass OK"
 
-# Superblock differential gate: run (not just compile) the suites that
-# prove bulk block retirement is observationally identical to
-# single-stepped execution — the SoC-level differential + IRQ sweep, the
-# CPU-level lockstep/self-modifying-code tests, and the report/fleet
-# digest invariance tests.
-cargo test -q --test active_path superblock
-cargo test -q --test active_path irq_delivery_under_superblocks
-cargo test -q -p pels-cpu --test decode_cache superblock
-cargo test -q --test obs_invariance superblock
-echo "bench_smoke: superblock differential suite OK"
-
-# Fused-tier differential gate: op fusion and the probe-free sprint
-# dispatch must stay observationally invisible — the CPU-level fused
-# lockstep/self-modifying-code suite, the SoC-level fused pair workload
-# + IRQ sweep, and the per-guard sprint bail-out/token suite.
-cargo test -q -p pels-cpu --test decode_cache fused
-cargo test -q --test active_path fused
-cargo test -q -p pels-soc sprint
-echo "bench_smoke: fused-tier differential suite OK"
-
 # The fleet bench also asserts serial-vs-parallel digest equality.
 cargo bench -q -p pels-bench --bench fleet -- --sample-size 10
 echo "bench_smoke: fleet OK"
-
-# Causal flow gate: run (not just compile) the suites that prove flow
-# recording is pure observation (bit-identical runs with flows on/off
-# across every ExecMode, fleet digest invariant) and that the per-stage
-# attribution telescopes exactly to the measured per-event latencies
-# (paper probes decompose to 7/2/16 cycles, randomized scenarios sum
-# exactly, FlowReport merge is order-invariant).
-cargo test -q --test flow_invariance
-cargo test -q --test flow_properties
-echo "bench_smoke: causal flow differential + property suites OK"
-
-# Energy-ledger gate: run the differential suite that proves the
-# lifetime layer is pure observation — ledger on/off runs bit-identical
-# across every mediator, blame rows partition the timeline exactly, and
-# fleet digests plus the merged ledger are invariant under worker count.
-cargo test -q --test lifetime_invariance
-echo "bench_smoke: energy ledger invariance suite OK"
 
 # Observability gate: regenerate the OBS artifacts with the profiler on
 # (plus a reduced-horizon lifetime projection), then schema-check them —
@@ -108,16 +67,14 @@ echo "bench_smoke: fused speedup keys OK"
 # Description gate: regenerate the canonical corpus under
 # examples/descs/ (round-trip checked on emit), then validate every
 # committed file — parse, validate, round-trip identity and a one-cycle
-# smoke build — and run the seeded desc fuzzer (fixed seed, 200+
-# generate -> validate -> fast-vs-naive differential iterations). The
+# smoke build (the seeded desc fuzzer runs with the workspace tests). The
 # regenerated corpus must match the committed one byte for byte: a
 # layout or number-format drift in the encoder fails here instead of
 # silently rewriting examples/descs/.
 cargo run -q --release -p pels-bench --bin reproduce -- desc > /dev/null
 git diff --exit-code -- examples/descs/
 cargo run -q --release -p pels-bench --bin desc_check
-cargo test -q --test desc_fuzz
-echo "bench_smoke: description corpus + fuzzer OK"
+echo "bench_smoke: description corpus OK"
 
 # Hygiene: every generated artifact class must stay ignored — a missing
 # pattern means `git status` noise at best and a committed multi-MB
